@@ -24,7 +24,7 @@ from brainalign.crossval import (
     fit_encoding,
     score_alignment,
 )
-from brainalign.residual import remove_information, remove_masked_prediction
+from brainalign.residual import remove_information
 from brainalign.ceiling import CeilingResult, noise_ceiling, normalize_by_ceiling
 from brainalign.contrast import (
     ContrastReport,

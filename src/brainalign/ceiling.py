@@ -34,7 +34,6 @@ def noise_ceiling(
     scheme: FoldScheme,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     inner_folds: int = DEFAULT_INNER_FOLDS,
-    n_threads: int = 1,
 ) -> CeilingResult:
     """Leave-one-subject-out ceilings over a common voxel space.
 
@@ -55,12 +54,7 @@ def noise_ceiling(
     for s in range(n_sub):
         X = np.hstack([Y_all[j] for j in range(n_sub) if j != s])
         res = fit_encoding(
-            X,
-            Y_all[s],
-            scheme,
-            inner_folds=inner_folds,
-            lambda_grid=lambda_grid,
-            n_threads=n_threads,
+            X, Y_all[s], scheme, inner_folds=inner_folds, lambda_grid=lambda_grid
         )
         per_subject[s] = res.mean_correlation
     with np.errstate(invalid="ignore"):

@@ -7,9 +7,9 @@ dependency artifact.
 Fit artifacts are cached under ``<out>/fit/<manifest-hash>/`` and reused
 by ``contrast`` and ``report``; the regularization sweep dominates the
 cost and every contrast reuses it. All outputs are deterministic for a
-fixed manifest and seed, independent of ``--threads``: parallel work is
-merged by index and timing information lives only in the ``run_record``
-sidecar, never inside data artifacts.
+fixed manifest and seed: folds are fit serially in index order and timing
+information lives only in the ``run_record`` sidecar, never inside data
+artifacts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -60,6 +59,11 @@ _RESULT_FIELDS = (
 def manifest_hash(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def _seed(args, manifest: DatasetManifest) -> int:
+    """The analysis seed: ``--seed-override`` when given (0 included)."""
+    return manifest.seed if args.seed_override is None else args.seed_override
 
 
 def _run_record(args, mhash: str | None, seed) -> dict:
@@ -163,7 +167,6 @@ def _fit_condition_subject(manifest, cond, sub, args, out_dir: Path):
             lambda_grid=manifest.lambda_grid,
             alpha=manifest.significance_alpha,
             fdr=args.fdr or manifest.fdr,
-            n_threads=args.threads,
         )
         _save_result(res, out_dir, layer)
         results.append(res)
@@ -173,15 +176,20 @@ def _fit_condition_subject(manifest, cond, sub, args, out_dir: Path):
 def cmd_fit(args) -> int:
     manifest = load_manifest(args.manifest)
     mhash = manifest_hash(args.manifest)
-    record = _run_record(args, mhash, args.seed_override or manifest.seed)
+    record = _run_record(args, mhash, _seed(args, manifest))
     t0 = time.time()
     out_root = Path(args.out) / "fit" / mhash
     conditions = [manifest.condition(args.condition)] if args.condition else manifest.conditions
     subjects = [manifest.subject(args.subject)] if args.subject else manifest.subjects
     stages = {}
-    summary = {"run_record": record, "conditions": {}}
+    summary_path = out_root / "fit_summary.json"
+    summary = {"conditions": {}}
+    if (args.condition or args.subject) and summary_path.exists():
+        # a subset fit replaces only its own entries; run_record is this run's
+        summary = json.loads(summary_path.read_text())
+    summary["run_record"] = record
     for cond in conditions:
-        cond_summary = {}
+        cond_summary = summary["conditions"].setdefault(cond.name, {})
         for sub in subjects:
             s0 = time.time()
             out_dir = out_root / cond.name / sub.id
@@ -202,9 +210,8 @@ def cmd_fit(args) -> int:
                 )
             cond_summary[sub.id] = layers
             _write_json(out_dir / "summary.json", {"run_record": record, "layers": layers})
-        summary["conditions"][cond.name] = cond_summary
     out_root.mkdir(parents=True, exist_ok=True)
-    _write_json(out_root / "fit_summary.json", summary)
+    _write_json(summary_path, summary)
     _write_sidecar(out_root, record, t0, stages)
     print(f"fit artifacts written to {out_root}")
     return EXIT_OK
@@ -248,7 +255,6 @@ def cmd_ceiling(args) -> int:
         scheme,
         lambda_grid=manifest.lambda_grid,
         inner_folds=manifest.n_inner_folds,
-        n_threads=args.threads,
     )
     out_dir = Path(args.out) / "ceiling" / mhash
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,7 +295,8 @@ def _load_ceiling(args, mhash) -> CeilingResult | None:
 def cmd_contrast(args) -> int:
     manifest = load_manifest(args.manifest)
     mhash = manifest_hash(args.manifest)
-    record = _run_record(args, mhash, manifest.seed)
+    seed = _seed(args, manifest)
+    record = _run_record(args, mhash, seed)
     t0 = time.time()
     out_root = Path(args.out)
     fit_root = out_root / "fit" / mhash
@@ -363,7 +370,7 @@ def cmd_contrast(args) -> int:
             alpha=manifest.significance_alpha,
             n_baseline=args.n_baseline,
             baseline=args.baseline,
-            seed=args.seed_override or manifest.seed,
+            seed=seed,
             ceiling=_load_ceiling(args, mhash),
             ceiling_floor=manifest.ceiling_floor,
         )
@@ -476,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         if manifest:
             p.add_argument("--manifest", required=True, help="dataset manifest (JSON)")
         p.add_argument("--out", default="out", help="output root directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1, help="no effect; folds are fit serially")
         p.add_argument("--seed-override", type=int, default=None)
         p.add_argument("--tr-policy", choices=["first_relevant", "last_relevant"], default=None)
         p.add_argument("--fdr", choices=["none", "bh"], default=None)
@@ -536,6 +543,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "contrast" and args.mode == "connection" and not args.condition_b:
         parser.error("--condition-b is required for connection mode")
+    if getattr(args, "threads", 1) != 1:
+        print(
+            f"note: --threads {args.threads} has no effect; folds are fit serially",
+            file=sys.stderr,
+        )
     manifest_path = getattr(args, "manifest", None)
     if manifest_path is not None and not Path(manifest_path).exists():
         print(f"error: manifest not found: {manifest_path}", file=sys.stderr)

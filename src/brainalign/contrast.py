@@ -29,7 +29,7 @@ from brainalign.crossval import (
     fit_encoding,
 )
 from brainalign.residual import remove_information
-from brainalign.stats import ZeroVarianceError, paired_ttest
+from brainalign.stats import ZeroVarianceError, paired_ttest, student_t_sf
 
 BASELINE_MODES = ("gaussian", "shuffle")
 
@@ -110,13 +110,18 @@ def roi_score(mean_correlation: np.ndarray, mask, atlas: dict, roi_name: str) ->
     idx = np.asarray(atlas[roi_name], dtype=np.int64)
     if mask is not None:
         idx = idx[np.asarray(mask, dtype=bool)[idx]]
-    if idx.size == 0:
-        return float("nan")
-    vals = mean_correlation[idx]
+    return _valid_mean(mean_correlation[idx])
+
+
+def _valid_mean(vals: np.ndarray) -> float:
+    """Mean of the non-NaN values; NaN when there are none."""
     vals = vals[~np.isnan(vals)]
-    if vals.size == 0:
-        return float("nan")
-    return float(vals.mean())
+    return float(vals.mean()) if vals.size else float("nan")
+
+
+def _roi_union(atlas: dict, rois: list[str]) -> np.ndarray:
+    """Sorted voxel indices in any of ``rois``; independent of ROI order."""
+    return np.unique(np.concatenate([atlas[r] for r in rois]))
 
 
 def _paired_row(a: np.ndarray, b: np.ndarray, tail: str):
@@ -205,7 +210,7 @@ def connection_contrast(
         a = np.full(n_sub, np.nan)
         b = np.full(n_sub, np.nan)
         for s in range(n_sub):
-            roi_idx = np.unique(np.concatenate([atlases[s][r] for r in language_rois]))
+            roi_idx = _roi_union(atlases[s], language_rois)
             idx = roi_idx[masks[s][roi_idx]]
             if idx.size == 0:
                 continue
@@ -259,7 +264,8 @@ def interaction_contrast(
     one new observation against K reference draws. Subjects share the
     feature matrices, so their diffs are not independent replicates; the
     draws are the exchangeable unit. With a ceiling, per-voxel scores are
-    ceiling-normalized before ROI averaging.
+    ceiling-normalized before ROI averaging. With more than one layer, the
+    per-layer rows score the union of every ROI's voxels.
     """
     if n_baseline < 3:
         raise ValueError("need at least 3 baseline draws")
@@ -270,6 +276,7 @@ def interaction_contrast(
         raise ValueError("subject lists must be nonempty and aligned")
     unimodal = np.hstack([lang_features, vis_features])
     roi_names = list(atlases[0].keys())
+    union_idx = [_roi_union(atlas, roi_names) for atlas in atlases]
     rng = np.random.default_rng(seed)
 
     def voxel_scores(X, Y):
@@ -282,25 +289,29 @@ def interaction_contrast(
         return scores
 
     n_layers = len(joint_layers)
-    # resid_scores[s][roi] averaged over layers; base_scores[k][s][roi]
+    # one score per layer: resid_acc[s][roi], base_acc[k][s][roi], and over
+    # the union of all ROIs resid_union[s], base_union[k][s]
     resid_acc = {s: {r: [] for r in roi_names} for s in range(n_sub)}
     base_acc = {k: {s: {r: [] for r in roi_names} for s in range(n_sub)} for k in range(n_baseline)}
+    resid_union = [[] for _ in range(n_sub)]
+    base_union = [[[] for _ in range(n_sub)] for _ in range(n_baseline)]
+
+    def accumulate(acc, union_acc, X):
+        for s in range(n_sub):
+            sc = voxel_scores(X, Y_subjects[s])
+            for r in roi_names:
+                acc[s][r].append(roi_score(sc, None, atlases[s], r))
+            union_acc[s].append(_valid_mean(sc[union_idx[s]]))
 
     for layer_X in joint_layers:
         resid = remove_information(unimodal, layer_X, scheme, lambda_grid, inner_folds)
-        for s in range(n_sub):
-            sc = voxel_scores(resid, Y_subjects[s])
-            for r in roi_names:
-                resid_acc[s][r].append(roi_score(sc, None, atlases[s], r))
+        accumulate(resid_acc, resid_union, resid)
         for k in range(n_baseline):
             if baseline == "gaussian":
                 Bmat = rng.standard_normal(resid.shape)
             else:
                 Bmat = resid[rng.permutation(resid.shape[0])]
-            for s in range(n_sub):
-                sc = voxel_scores(Bmat, Y_subjects[s])
-                for r in roi_names:
-                    base_acc[k][s][r].append(roi_score(sc, None, atlases[s], r))
+            accumulate(base_acc[k], base_union[k], Bmat)
 
     report = ContrastReport(
         mode="interaction",
@@ -331,12 +342,10 @@ def interaction_contrast(
         )
     if n_layers > 1:
         for layer in range(n_layers):
-            a = float(
-                np.nanmean([resid_acc[s][roi_names[0]][layer] for s in range(n_sub)])
-            )
+            a = float(np.nanmean([resid_union[s][layer] for s in range(n_sub)]))
             draws = np.array(
                 [
-                    np.nanmean([base_acc[k][s][roi_names[0]][layer] for s in range(n_sub)])
+                    np.nanmean([base_union[k][s][layer] for s in range(n_sub)])
                     for k in range(n_baseline)
                 ]
             )
@@ -362,8 +371,6 @@ def _draw_ttest(value: float, draws: np.ndarray):
     degrees of freedom; the extra 1/K accounts for the uncertainty of the
     draw mean. Degenerate draws (zero spread, or any NaN) flag NaN.
     """
-    from brainalign.stats import student_t_sf
-
     draws = np.asarray(draws, dtype=np.float64)
     k = draws.size
     if np.isnan(value) or np.isnan(draws).any():

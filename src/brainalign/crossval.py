@@ -8,13 +8,12 @@ held-out prediction from the model not trained on its fold. Block folds
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from brainalign import ridge
-from brainalign.stats import pearson_columns, bh_fdr
+from brainalign.stats import bh_fdr, pearson_columns, student_t_sf
 
 DEFAULT_LAMBDA_GRID = np.logspace(-1, 8, 10)
 DEFAULT_INNER_FOLDS = 5
@@ -145,7 +144,6 @@ def fit_encoding(
     lambda_grid=DEFAULT_LAMBDA_GRID,
     alpha: float = 0.05,
     fdr: str = "none",
-    n_threads: int = 1,
     keep_weights: bool = False,
 ) -> EncodingResult:
     """Full nested-CV encoding fit of targets Y from features X.
@@ -173,24 +171,12 @@ def fit_encoding(
     fold_r = np.empty((scheme.n_folds, v))
     sel = np.empty((scheme.n_folds, v))
     weights = [None] * scheme.n_folds
-
-    def run(fold: int):
+    for fold in range(scheme.n_folds):
         tr = scheme.train_indices(fold)
         te = scheme.test_indices(fold)
-        pred, lam_sel, W = fit_fold(X, Y, tr, te, inner_folds, grid)
-        return fold, te, pred, lam_sel, W
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run, range(scheme.n_folds)))
-    else:
-        results = [run(f) for f in range(scheme.n_folds)]
-
-    # deterministic merge by fold index; each fold writes disjoint rows
-    for fold, te, pred, lam_sel, W in results:
+        pred, sel[fold], W = fit_fold(X, Y, tr, te, inner_folds, grid)
         cv_pred[te] = pred
         fold_r[fold] = pearson_columns(pred, Y[te]) if te.size >= 3 else np.nan
-        sel[fold] = lam_sel
         if keep_weights:
             weights[fold] = W
 
@@ -259,16 +245,14 @@ def _fold_ttest_pvalues(fold_r: np.ndarray, test_to_train: float = 0.0) -> np.nd
     acceptance suite). Columns with fewer than 3 valid folds or zero
     variance get NaN.
     """
-    from brainalign.stats import student_t_sf
-
     valid = ~np.isnan(fold_r)
     counts = valid.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(valid, fold_r, 0.0).sum(axis=0) / counts
+        dev = np.where(valid, fold_r - mean, 0.0)
+        sd = np.sqrt((dev * dev).sum(axis=0) / (counts - 1))
+        t = mean / (sd * np.sqrt(1.0 / counts + test_to_train))
+    ok = (counts >= 3) & (sd != 0.0)
     pvals = np.full(fold_r.shape[1], np.nan)
-    for col in np.flatnonzero(counts >= 3):
-        x = fold_r[valid[:, col], col]
-        sd = x.std(ddof=1)
-        if sd == 0.0:
-            continue
-        t = x.mean() / (sd * np.sqrt(1.0 / x.size + test_to_train))
-        pvals[col] = student_t_sf(float(t), x.size - 1)
+    pvals[ok] = student_t_sf(t[ok], counts[ok] - 1)
     return pvals

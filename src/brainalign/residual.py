@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from brainalign import ridge
 from brainalign.crossval import (
     DEFAULT_INNER_FOLDS,
     DEFAULT_LAMBDA_GRID,
     FoldScheme,
-    _train_stats,
     fit_fold,
-    select_lambda,
 )
 
 
@@ -34,8 +31,9 @@ def remove_information(
 
     Cross-validated mode: for each fold the ridge map is fit on the
     training rows only (per-column lambda by inner CV, same machinery as
-    the encoding fits) and held-out rows receive B - B_hat. The output is
-    in B's original units.
+    the encoding fits) and held-out rows receive B - B_hat. In-sample
+    mode runs the same fold kernel once with every row as both training
+    and prediction rows. The output is in B's original units.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -44,17 +42,8 @@ def remove_information(
     grid = np.asarray(lambda_grid, dtype=np.float64)
 
     if in_sample:
-        am, asc, _ = _train_stats(A)
-        bm, bsc, _ = _train_stats(B)
-        Az = (A - am) / asc
-        Bz = (B - bm) / bsc
-        lam_sel = select_lambda(Az, Bz, inner_folds, grid)
-        path = ridge.factor(Az)
-        W = np.empty((A.shape[1], B.shape[1]))
-        for lam in np.unique(lam_sel):
-            cols = lam_sel == lam
-            W[:, cols] = ridge.solve(path, Bz[:, cols], float(lam))
-        return B - ((Az @ W) * bsc + bm)
+        rows = np.arange(A.shape[0])
+        return B - fit_fold(A, B, rows, rows, inner_folds, grid)[0]
 
     if A.shape[0] != scheme.n_samples:
         raise ValueError("fold scheme does not match the data")
@@ -65,19 +54,3 @@ def remove_information(
         pred, _, _ = fit_fold(A, B, tr, te, inner_folds, grid)
         resid[te] = B[te] - pred
     return resid
-
-
-def remove_masked_prediction(
-    joint: np.ndarray,
-    mask_truth: np.ndarray,
-    scheme: FoldScheme,
-    lambda_grid=DEFAULT_LAMBDA_GRID,
-    inner_folds: int = DEFAULT_INNER_FOLDS,
-    in_sample: bool = False,
-) -> np.ndarray:
-    """Remove an externally supplied target-encoding matrix from a joint
-    representation; alias of :func:`remove_information` with the mask
-    truth as the source, named so reports label the contrast correctly."""
-    return remove_information(
-        mask_truth, joint, scheme, lambda_grid, inner_folds, in_sample
-    )

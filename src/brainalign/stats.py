@@ -22,85 +22,87 @@ class ZeroVarianceError(ValueError):
     """A t-test sample (or difference vector) has zero variance."""
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz)."""
+def _nonzero(v: np.ndarray) -> np.ndarray:
+    """Lentz guard: values within _TINY of zero become _TINY."""
+    return np.where(np.abs(v) < _TINY, _TINY, v)
+
+
+def _betacf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta function (modified Lentz),
+    elementwise over 1-D arrays; each element stops at its own convergence."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
+    c = np.ones_like(x)
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
+    h = d.copy()
+    out = np.empty_like(x)
+    live = np.arange(x.size)  # indices (into out) of the unconverged elements
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise RuntimeError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+        am2 = a + m2
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * am2),
+            -(a + m) * (qab + m) * x / (am2 * (qap + m2)),
+        ):
+            d = 1.0 / _nonzero(1.0 + aa * d)
+            c = _nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            out[live[done]] = h[done]
+            if done.all():
+                return out
+            keep = ~done
+            live, a, b, x, qab, qap, qam, c, d, h = (
+                arr[keep] for arr in (live, a, b, x, qab, qap, qam, c, d, h)
+            )
+    raise RuntimeError(f"incomplete beta did not converge for a={a[0]}, b={b[0]}, x={x[0]}")
 
 
-def betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if a <= 0 or b <= 0:
+def _lgamma(v: np.ndarray) -> np.ndarray:
+    """math.lgamma over an array, evaluated once per distinct value."""
+    uniq, inv = np.unique(v, return_inverse=True)
+    return np.array([math.lgamma(u) for u in uniq])[inv]
+
+
+def betainc(a, b, x):
+    """Regularized incomplete beta function I_x(a, b), elementwise.
+
+    Arguments broadcast; NaN ``x`` gives NaN. Scalar inputs give a float.
+    """
+    a, b, x = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (a, b, x)))
+    if np.any(a <= 0) or np.any(b <= 0):
         raise ValueError("a and b must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
+    out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, np.nan))
+    inner = (x > 0.0) & (x < 1.0)
+    if inner.any():
+        a, b, x = a[inner], b[inner], x[inner]
+        ln_bt = _lgamma(a + b) - _lgamma(a) - _lgamma(b) + a * np.log(x) + b * np.log1p(-x)
+        bt = np.exp(ln_bt)
+        # the fraction converges fast below the mean; above it use symmetry
+        swap = ~(x < (a + 1.0) / (a + b + 2.0))
+        p = np.where(swap, b, a)
+        q = np.where(swap, a, b)
+        part = bt * _betacf(p, q, np.where(swap, 1.0 - x, x)) / p
+        out[inner] = np.where(swap, 1.0 - part, part)
+    return out if out.ndim else float(out)
 
 
-def student_t_sf(t: float, dof: float) -> float:
-    """P(T > t) for Student's t with ``dof`` degrees of freedom."""
-    if dof < 1:
+def student_t_sf(t, dof):
+    """P(T > t) for Student's t with ``dof`` degrees of freedom, elementwise.
+
+    Arguments broadcast; NaN ``t`` gives NaN. Scalar inputs give a float.
+    """
+    t, dof = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (t, dof)))
+    if np.any(dof < 1):
         raise ValueError("dof must be >= 1")
-    if not math.isfinite(t):
-        return 0.0 if t > 0 else 1.0
-    x = dof / (dof + t * t)
+    with np.errstate(over="ignore"):
+        x = dof / (dof + t * t)
     p_two = betainc(dof / 2.0, 0.5, x)
-    return 0.5 * p_two if t >= 0 else 1.0 - 0.5 * p_two
-
-
-def student_t_sf_array(t: np.ndarray, dof: float) -> np.ndarray:
-    """Elementwise :func:`student_t_sf`; NaN inputs give NaN."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.full(t.shape, np.nan)
-    flat_t = t.ravel()
-    flat_o = out.ravel()
-    for i, ti in enumerate(flat_t):
-        if np.isfinite(ti) or ti in (np.inf, -np.inf):
-            flat_o[i] = student_t_sf(float(ti), dof)
-    return out
+    out = np.where(t >= 0, 0.5 * p_two, 1.0 - 0.5 * p_two)
+    return out if out.ndim else float(out)
 
 
 def pearson(a, b) -> float:

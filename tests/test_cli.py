@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,78 @@ class TestCeilingAndReport:
         manifest, _ = dataset
         rc = main(["report", "--manifest", str(manifest), "--out", str(tmp_path / "empty")])
         assert rc == EXIT_MISSING_ARTIFACT
+
+
+class TestSubsetFit:
+    def _report_rows(self, manifest, out):
+        assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        path = out / "report" / manifest_hash(manifest) / "report.json"
+        return {r["condition"]: r for r in json.loads(path.read_text())["rows"]}
+
+    def test_condition_fit_keeps_other_conditions(self, dataset, tmp_path):
+        manifest, shared = dataset
+        out = tmp_path / "out"
+        shutil.copytree(shared / "fit", out / "fit")
+        full = self._report_rows(manifest, out)
+        fit = ["fit", "--manifest", str(manifest), "--out", str(out)]
+        assert main(fit + ["--condition", "joint"]) == EXIT_OK
+        assert self._report_rows(manifest, out) == full
+        assert main(fit + ["--condition", "vis_only", "--subject", "s01"]) == EXIT_OK
+        rows = self._report_rows(manifest, out)
+        assert set(rows) == {"joint", "lang_only", "vis_only", "mask_truth"}
+        assert rows["vis_only"]["n_subjects"] == 3
+
+    def test_full_fit_rewrites_corrupt_summary(self, dataset, tmp_path):
+        manifest, shared = dataset
+        out = tmp_path / "out"
+        shutil.copytree(shared / "fit", out / "fit")
+        path = out / "fit" / manifest_hash(manifest) / "fit_summary.json"
+        expected = json.loads(path.read_text())["conditions"]
+        path.write_text('{"conditions": {"joint"')
+        assert main(["fit", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        assert json.loads(path.read_text())["conditions"] == expected
+
+
+class TestSeedOverride:
+    def test_zero_override_is_recorded_and_used(self, tmp_path):
+        manifest = _synth(tmp_path / "data", seed=3)
+        mhash = manifest_hash(manifest)
+        out = tmp_path / "out"
+        fit = ["fit", "--manifest", str(manifest), "--out", str(out)]
+        assert main(fit + ["--condition", "joint", "--subject", "s00", "--seed-override", "0"]) == EXIT_OK
+        summary = json.loads((out / "fit" / mhash / "fit_summary.json").read_text())
+        assert summary["run_record"]["seed"] == 0
+
+        contrast = [
+            "contrast",
+            "--manifest",
+            str(manifest),
+            "--mode",
+            "interaction",
+            "--condition-a",
+            "joint",
+            "--n-baseline",
+            "3",
+        ]
+        reports = {}
+        for name, extra in (("zero", ["--seed-override", "0"]), ("manifest", [])):
+            assert main(contrast + ["--out", str(tmp_path / name)] + extra) == EXIT_OK
+            path = tmp_path / name / "contrast" / mhash / "interaction" / "report.json"
+            reports[name] = json.loads(path.read_text())
+        assert reports["zero"]["run_record"]["seed"] == 0
+        assert reports["manifest"]["run_record"]["seed"] == 3
+        # the override seeds the baseline draws, not only the record
+        assert reports["zero"]["report"] != reports["manifest"]["report"]
+
+
+class TestThreadsFlag:
+    def test_other_value_notes_no_effect(self, tmp_path, capsys):
+        argv = ["fit", "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
+        assert main(argv + ["--threads", "1"]) == EXIT_INPUT
+        assert "--threads" not in capsys.readouterr().err
+        assert main(argv + ["--threads", "4"]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "note: --threads 4 has no effect; folds are fit serially"
 
 
 class TestResidual:

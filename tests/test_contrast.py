@@ -181,6 +181,36 @@ class TestInteractionContrast:
         for row in report.roi_rows:
             assert "baseline_sd" in row and np.isfinite(row["baseline_sd"])
 
+    @staticmethod
+    def _two_layer(atlas):
+        data = generate(SynthSpec(seed=21))
+        return interaction_contrast(
+            [data.features["joint"], data.features["mask_truth"]],
+            data.features["lang_only"],
+            data.features["vis_only"],
+            data.responses[:2],
+            [atlas] * 2,
+            make_folds(120, 6),
+            lambda_grid=GRID,
+            n_baseline=3,
+        )
+
+    def test_layerwise_independent_of_atlas_key_order(self):
+        atlas = generate(SynthSpec(seed=21)).atlas
+        reversed_atlas = dict(reversed(list(atlas.items())))
+        assert list(reversed_atlas) != list(atlas)
+        rows = self._two_layer(atlas).layerwise
+        assert len(rows) == 2
+        assert rows == self._two_layer(reversed_atlas).layerwise
+
+    def test_layerwise_scores_roi_voxels(self):
+        atlas = generate(SynthSpec(seed=21)).atlas
+        report = self._two_layer({"roi_interaction": atlas["roi_interaction"]})
+        (roi,) = report.roi_rows
+        # one ROI: the layer rows average to that ROI's row
+        layer_mean = np.mean([row["mean_A"] for row in report.layerwise])
+        assert layer_mean == pytest.approx(roi["mean_A"], abs=1e-12)
+
     def test_parameter_validation(self):
         data = generate(SynthSpec(seed=1))
         scheme = make_folds(120, 6)

@@ -3,10 +3,12 @@ import pytest
 
 from brainalign.crossval import (
     EncodingResult,
+    _fold_ttest_pvalues,
     fit_encoding,
     make_folds,
     score_alignment,
 )
+from brainalign.stats import student_t_sf
 
 
 class TestMakeFolds:
@@ -125,15 +127,6 @@ class TestFitEncoding:
         assert not res.significant_mask[1]
         assert np.isfinite(res.mean_correlation[[0, 2]]).all()
 
-    def test_thread_count_does_not_change_results(self, scheme):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((120, 5))
-        Y = rng.standard_normal((120, 6))
-        r1 = fit_encoding(X, Y, scheme, n_threads=1)
-        r4 = fit_encoding(X, Y, scheme, n_threads=4)
-        assert np.array_equal(r1.cv_predictions, r4.cv_predictions)
-        assert np.array_equal(r1.selected_lambda, r4.selected_lambda)
-
     def test_few_folds_rejected(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((20, 3))
@@ -161,6 +154,38 @@ class TestFitEncoding:
         res = fit_encoding(X, Y, scheme, fdr="bh")
         # BH under the complete null selects (almost always) nothing
         assert res.significant_mask.sum() <= fit_encoding(X, Y, scheme).significant_mask.sum()
+
+
+class TestFoldTtestPvalues:
+    @staticmethod
+    def _reference(col, test_to_train):
+        x = col[~np.isnan(col)]
+        if x.size < 3 or x.std(ddof=1) == 0.0:
+            return np.nan
+        t = x.mean() / (x.std(ddof=1) * np.sqrt(1.0 / x.size + test_to_train))
+        return student_t_sf(float(t), x.size - 1)
+
+    def test_matches_per_column_reference(self):
+        rng = np.random.default_rng(12)
+        fold_r = rng.normal(0.05, 0.2, size=(6, 40))
+        fold_r[0, 3] = np.nan  # 5 valid folds
+        fold_r[:2, 4] = np.nan  # 4 valid folds
+        got = _fold_ttest_pvalues(fold_r, test_to_train=0.2)
+        ref = np.array([self._reference(fold_r[:, j], 0.2) for j in range(40)])
+        assert np.isfinite(got).all()
+        assert np.abs(got - ref).max() <= 1e-15
+
+    def test_degenerate_columns_are_nan(self):
+        rng = np.random.default_rng(13)
+        fold_r = rng.normal(0.1, 0.2, size=(6, 5))
+        fold_r[:4, 0] = np.nan  # 2 valid folds
+        fold_r[:, 1] = np.nan  # no valid fold
+        fold_r[:, 2] = 0.3  # zero variance
+        fold_r[:3, 3] = np.nan
+        fold_r[3:, 3] = 0.3  # 3 valid folds, zero variance
+        p = _fold_ttest_pvalues(fold_r, test_to_train=0.2)
+        assert np.isnan(p[:4]).all()
+        assert np.isfinite(p[4])
 
 
 class TestScoreAlignment:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brainalign.crossval import fit_encoding, make_folds
-from brainalign.residual import remove_information, remove_masked_prediction
+from brainalign.residual import remove_information
 
 GRID = np.logspace(-1, 6, 8)
 
@@ -73,6 +73,15 @@ class TestRemoveInformation:
         # B has structure beyond A; A is (nearly) inside B's span
         assert ba < 0.05 < ab
 
+    def test_explained_block_removed_rest_retained(self, scheme):
+        rng = np.random.default_rng(10)
+        truth = rng.standard_normal((120, 5))
+        extra = rng.standard_normal((120, 5))
+        joint = np.hstack([truth, extra])
+        resid = remove_information(truth, joint, scheme, GRID)
+        assert _var_ratio(resid[:, :5], joint[:, :5]) < 0.05
+        assert _var_ratio(resid[:, 5:], joint[:, 5:]) > 0.9
+
     def test_in_sample_tighter_than_cv(self, scheme):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((120, 8))
@@ -93,24 +102,3 @@ class TestRemoveInformation:
     def test_row_mismatch(self, scheme):
         with pytest.raises(ValueError):
             remove_information(np.zeros((10, 2)), np.zeros((12, 2)), scheme)
-
-
-class TestRemoveMaskedPrediction:
-    def test_alias_of_removal(self, scheme):
-        rng = np.random.default_rng(9)
-        truth = rng.standard_normal((120, 5))
-        joint = np.hstack(
-            [truth @ rng.standard_normal((5, 4)), rng.standard_normal((120, 4))]
-        )
-        direct = remove_information(truth, joint, scheme, GRID)
-        aliased = remove_masked_prediction(joint, truth, scheme, GRID)
-        assert np.array_equal(direct, aliased)
-
-    def test_masked_part_removed(self, scheme):
-        rng = np.random.default_rng(10)
-        truth = rng.standard_normal((120, 5))
-        extra = rng.standard_normal((120, 5))
-        joint = np.hstack([truth, extra])
-        resid = remove_masked_prediction(joint, truth, scheme, GRID)
-        assert _var_ratio(resid[:, :5], joint[:, :5]) < 0.05
-        assert _var_ratio(resid[:, 5:], joint[:, 5:]) > 0.9

@@ -31,6 +31,54 @@ T_SF_REFERENCE = [
 ]
 
 
+def _reference_betacf(a, b, x):
+    """Scalar modified-Lentz continued fraction, one element at a time."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (1e-300 if abs(d) < 1e-300 else d)
+    h = d
+    for m in range(1, 401):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            d = 1e-300 if abs(d) < 1e-300 else d
+            c = 1.0 + aa / c
+            c = 1e-300 if abs(c) < 1e-300 else c
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h
+    raise RuntimeError("no convergence")
+
+
+def _reference_t_sf(t, dof):
+    """Scalar Student-t tail through the incomplete beta; NaN gives NaN."""
+    if math.isnan(t):
+        return math.nan
+    if not math.isfinite(t):
+        return 0.0 if t > 0 else 1.0
+    a, b, x = dof / 2.0, 0.5, dof / (dof + t * t)
+    if x <= 0.0:
+        p_two = 0.0
+    elif x >= 1.0:
+        p_two = 1.0
+    else:
+        bt = math.exp(
+            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            + a * math.log(x) + b * math.log1p(-x)
+        )
+        if x < (a + 1.0) / (a + b + 2.0):
+            p_two = bt * _reference_betacf(a, b, x) / a
+        else:
+            p_two = 1.0 - bt * _reference_betacf(b, a, 1.0 - x) / b
+    return 0.5 * p_two if t >= 0 else 1.0 - 0.5 * p_two
+
+
 class TestStudentT:
     @pytest.mark.parametrize("dof,t,expected", T_SF_REFERENCE)
     def test_matches_high_precision_reference(self, dof, t, expected):
@@ -45,6 +93,38 @@ class TestStudentT:
 
     def test_zero_is_half(self):
         assert student_t_sf(0.0, 7) == pytest.approx(0.5, abs=1e-15)
+
+    def test_array_matches_scalar_reference_on_grid(self):
+        # covers t = 0, +-inf, NaN, tiny and huge |t| over dof 1..100
+        t = np.concatenate(
+            [np.linspace(-40.0, 40.0, 161), [0.0, np.inf, -np.inf, np.nan, 1e-9, -1e160]]
+        )
+        for dof in range(1, 101):
+            got = student_t_sf(t, dof)
+            ref = np.array([_reference_t_sf(float(ti), dof) for ti in t])
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            ok = ~np.isnan(ref)
+            assert np.abs(got[ok] - ref[ok]).max() <= 1e-15, dof
+
+    def test_broadcasts_dof_and_keeps_shape(self):
+        t = np.array([[0.5, 2.0], [5.0, -1.0]])
+        dof = np.array([3, 20])
+        got = student_t_sf(t, dof)
+        assert got.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert got[i, j] == student_t_sf(float(t[i, j]), int(dof[j]))
+
+    def test_scalar_nan_is_nan(self):
+        assert math.isnan(student_t_sf(float("nan"), 5))
+
+    def test_scalar_in_float_out(self):
+        assert isinstance(student_t_sf(1.0, 4), float)
+        assert isinstance(betainc(2.0, 3.0, 0.4), float)
+
+    def test_dof_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            student_t_sf(np.array([1.0, 2.0]), np.array([3.0, 0.5]))
 
     def test_betainc_edges(self):
         assert betainc(2.0, 3.0, 0.0) == 0.0
