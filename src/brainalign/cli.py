@@ -515,8 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["connection", "interaction"], required=True)
     p.add_argument("--condition-a", required=True, help="reference (joint) condition")
     p.add_argument("--condition-b", default=None, help="ablated condition (connection mode)")
-    p.add_argument("--unimodal-a", default="lang_only")
-    p.add_argument("--unimodal-b", default="vis_only")
+    p.add_argument(
+        "--unimodal-a",
+        default="lang_only",
+        help="first unimodal condition removed in interaction mode; "
+        "only its last layer file is used",
+    )
+    p.add_argument(
+        "--unimodal-b",
+        default="vis_only",
+        help="second unimodal condition removed in interaction mode; "
+        "only its last layer file is used",
+    )
     p.add_argument("--baseline", choices=["gaussian", "shuffle"], default="gaussian")
     p.add_argument("--n-baseline", type=int, default=10)
     p.add_argument("--use-ceiling", action="store_true", help="normalize by cached ceilings")

@@ -119,6 +119,12 @@ def _valid_mean(vals: np.ndarray) -> float:
     return float(vals.mean()) if vals.size else float("nan")
 
 
+def _nanmean(vals) -> float:
+    """np.nanmean of a sequence; NaN, without a warning, when all are NaN."""
+    vals = np.asarray(vals, dtype=np.float64)
+    return float(np.nanmean(vals)) if not np.isnan(vals).all() else float("nan")
+
+
 def _roi_union(atlas: dict, rois: list[str]) -> np.ndarray:
     """Sorted voxel indices in any of ``rois``; independent of ROI order."""
     return np.unique(np.concatenate([atlas[r] for r in rois]))
@@ -319,20 +325,21 @@ def interaction_contrast(
         normalized=ceiling is not None,
     )
     for r in roi_names:
-        a = float(np.nanmean([np.nanmean(resid_acc[s][r]) for s in range(n_sub)]))
+        a = _nanmean([_nanmean(resid_acc[s][r]) for s in range(n_sub)])
         draws = np.array(
             [
-                np.nanmean([np.nanmean(base_acc[k][s][r]) for s in range(n_sub)])
+                _nanmean([_nanmean(base_acc[k][s][r]) for s in range(n_sub)])
                 for k in range(n_baseline)
             ]
         )
         stat, p, sd = _draw_ttest(a, draws)
+        mean_b = _nanmean(draws)
         report.roi_rows.append(
             {
                 "roi_name": r,
                 "mean_A": a,
-                "mean_B": float(np.nanmean(draws)),
-                "diff": a - float(np.nanmean(draws)),
+                "mean_B": mean_b,
+                "diff": a - mean_b,
                 "paired_t": stat,
                 "p_value": p,
                 "n_subjects": n_sub,
@@ -342,20 +349,21 @@ def interaction_contrast(
         )
     if n_layers > 1:
         for layer in range(n_layers):
-            a = float(np.nanmean([resid_union[s][layer] for s in range(n_sub)]))
+            a = _nanmean([resid_union[s][layer] for s in range(n_sub)])
             draws = np.array(
                 [
-                    np.nanmean([base_union[k][s][layer] for s in range(n_sub)])
+                    _nanmean([base_union[k][s][layer] for s in range(n_sub)])
                     for k in range(n_baseline)
                 ]
             )
             stat, p, _ = _draw_ttest(a, draws)
+            mean_b = _nanmean(draws)
             report.layerwise.append(
                 {
                     "layer": layer,
                     "mean_A": a,
-                    "mean_B": float(np.nanmean(draws)),
-                    "diff": a - float(np.nanmean(draws)),
+                    "mean_B": mean_b,
+                    "diff": a - mean_b,
                     "statistic": stat,
                     "p_value": p,
                     "n_subjects": n_sub,

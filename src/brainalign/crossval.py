@@ -80,10 +80,34 @@ def select_lambda(
     """Per-column regularization choice by contiguous inner CV.
 
     Scores each grid value by the mean inner-held-out Pearson correlation
-    per column; ties break toward the larger (stronger) value.
+    per column; ties break toward the larger (stronger) value. A fold
+    whose correlation is NaN (zero spread in the prediction or the
+    held-out target) is left out of that column's mean; a column with no
+    finite score at all gets the largest value.
     Inputs are expected already centered/scaled by the caller.
+
+    Scoring happens in the SVD basis of each inner training design and
+    never forms ridge weights: memory is one held-out n_te x v block per
+    grid value, not a g x p x v weight tensor.
     """
     grid = np.asarray(lambda_grid, dtype=np.float64)
+    mean_scores = _lambda_scores(X, Y, inner_folds, grid)
+    # argmax with ties toward the larger lambda: scan the reversed grid
+    rev_best = np.argmax(mean_scores[::-1], axis=0)
+    return grid[grid.size - 1 - rev_best]
+
+
+def _lambda_scores(X, Y, inner_folds, grid):
+    """Mean inner-held-out correlation per grid value and column, g x v;
+    -inf where no fold gives a finite score.
+
+    With X_tr = U diag(s) V^T, the held-out prediction for lam is
+    (X_te V) diag(s / (s^2 + lam)) (U^T Y_tr). It is linear in X_te V, so
+    centring those r columns once centres every lam's prediction, and the
+    held-out targets are centred and normed once per fold.
+    """
+    if grid.size == 0 or np.any(grid <= 0):
+        raise ValueError("lambda grid must be nonempty and positive")
     scheme = make_folds(X.shape[0], inner_folds)
     v = Y.shape[1]
     scores = np.zeros((grid.size, v))
@@ -91,20 +115,28 @@ def select_lambda(
     for fold in range(inner_folds):
         tr = scheme.train_indices(fold)
         te = scheme.test_indices(fold)
+        if te.size < 3:
+            raise ValueError("need at least 3 samples in every inner test fold")
         path = ridge.factor(X[tr])
-        W_all = ridge.solve_path(path, Y[tr], grid)
-        for gi in range(grid.size):
-            pred = X[te] @ W_all[gi]
-            r = pearson_columns(pred, Y[te])
-            ok = ~np.isnan(r)
+        s = path.singular_values
+        UtY = path.left_vectors.T @ Y[tr]
+        XV = X[te] @ path.right_vectors
+        XV -= XV.mean(axis=0)
+        Yc = Y[te]
+        Yc -= Yc.mean(axis=0)
+        y_norm = np.sqrt(np.einsum("ij,ij->j", Yc, Yc))
+        for gi, lam in enumerate(grid):
+            pred = (XV * (s / (s**2 + lam))) @ UtY
+            denom = np.sqrt(np.einsum("ij,ij->j", pred, pred)) * y_norm
+            with np.errstate(invalid="ignore", divide="ignore"):
+                r = np.einsum("ij,ij->j", pred, Yc) / denom
+            ok = (denom != 0.0) & ~np.isnan(r)
             scores[gi, ok] += r[ok]
             counts[gi, ok] += 1
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_scores = scores / counts
     mean_scores[counts == 0] = -np.inf
-    # argmax with ties toward the larger lambda: scan the reversed grid
-    rev_best = np.argmax(mean_scores[::-1], axis=0)
-    return grid[grid.size - 1 - rev_best]
+    return mean_scores
 
 
 def fit_fold(

@@ -8,6 +8,12 @@ target column is then solved from that single factorization:
 
 which equals the normal-equations solution (X^T X + lam I)^-1 X^T Y
 restricted to the retained rank.
+
+Choosing lam (``crossval.select_lambda``) stays in this basis and forms no
+weights: a held-out prediction is (X_te V) diag(s / (s^2 + lam)) (U^T Y),
+so scoring a grid of g values costs one n_te x v prediction block per
+value instead of a g x p x v weight tensor. ``solve_path`` builds that
+tensor and has no caller in the package.
 """
 
 from __future__ import annotations

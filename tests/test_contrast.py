@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,33 @@ class TestInteractionContrast:
         # one ROI: the layer rows average to that ROI's row
         layer_mean = np.mean([row["mean_A"] for row in report.layerwise])
         assert layer_mean == pytest.approx(roi["mean_A"], abs=1e-12)
+
+    @pytest.mark.parametrize("rois", [("roi_interaction", "roi_null"), ("roi_null",)])
+    def test_all_flagged_roi_is_nan_without_warning(self, rois):
+        data = generate(SynthSpec(seed=21))
+        atlas = {r: data.atlas[r] for r in rois}
+        Y_subjects = [Y.copy() for Y in data.responses[:2]]
+        for Y in Y_subjects:
+            Y[:, atlas["roi_null"]] = 1.0  # every roi_null voxel is flagged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = interaction_contrast(
+                [data.features["joint"], data.features["mask_truth"]],
+                data.features["lang_only"],
+                data.features["vis_only"],
+                Y_subjects,
+                [atlas] * 2,
+                make_folds(120, 6),
+                lambda_grid=GRID,
+                n_baseline=3,
+            )
+        rows = {r["roi_name"]: r for r in report.roi_rows}
+        for key in ("mean_A", "mean_B", "diff", "paired_t", "p_value", "baseline_sd"):
+            assert np.isnan(rows["roi_null"][key])
+        if "roi_interaction" in rows:
+            assert np.isfinite(rows["roi_interaction"]["p_value"])
+        layers_nan = [np.isnan(row["mean_A"]) for row in report.layerwise]
+        assert layers_nan == [rois == ("roi_null",)] * 2
 
     def test_parameter_validation(self):
         data = generate(SynthSpec(seed=1))

@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from brainalign import crossval, ridge
 from brainalign.crossval import (
+    DEFAULT_LAMBDA_GRID,
     EncodingResult,
     _fold_ttest_pvalues,
+    _lambda_scores,
     fit_encoding,
     make_folds,
     score_alignment,
+    select_lambda,
 )
-from brainalign.stats import student_t_sf
+from brainalign.stats import pearson_columns, student_t_sf
 
 
 class TestMakeFolds:
@@ -154,6 +160,118 @@ class TestFitEncoding:
         res = fit_encoding(X, Y, scheme, fdr="bh")
         # BH under the complete null selects (almost always) nothing
         assert res.significant_mask.sum() <= fit_encoding(X, Y, scheme).significant_mask.sum()
+
+
+def _reference_lambda_scores(X, Y, inner_folds, grid):
+    """Scores from explicit weights: ridge.solve, X_te @ W, pearson_columns.
+    Returns (mean scores with -inf where no fold is finite, fold counts)."""
+    scheme = make_folds(X.shape[0], inner_folds)
+    scores = np.zeros((grid.size, Y.shape[1]))
+    counts = np.zeros((grid.size, Y.shape[1]))
+    for fold in range(inner_folds):
+        tr = scheme.train_indices(fold)
+        te = scheme.test_indices(fold)
+        path = ridge.factor(X[tr])
+        for gi, lam in enumerate(grid):
+            r = pearson_columns(X[te] @ ridge.solve(path, Y[tr], lam), Y[te])
+            ok = ~np.isnan(r)
+            scores[gi, ok] += r[ok]
+            counts[gi, ok] += 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = scores / counts
+    mean[counts == 0] = -np.inf
+    return mean, counts
+
+
+def _reference_select(mean_scores, grid):
+    # first maximum scanning from the largest lambda down
+    return np.array(
+        [grid[max(np.flatnonzero(col == col.max()))] for col in mean_scores.T]
+    )
+
+
+def _design(kind, rng):
+    if kind == "p<n":
+        return rng.standard_normal((60, 8))
+    if kind == "p>n":
+        return rng.standard_normal((40, 80))
+    # rank 3 in 10 columns, with a duplicated column
+    X = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 10))
+    X[:, 9] = X[:, 0]
+    return X
+
+
+class TestSelectLambda:
+    GRID = DEFAULT_LAMBDA_GRID
+    INNER = 5
+
+    def _check(self, X, Y):
+        got = _lambda_scores(X, Y, self.INNER, self.GRID)
+        ref, counts = _reference_lambda_scores(X, Y, self.INNER, self.GRID)
+        assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+        finite = np.isfinite(ref)
+        assert np.abs(got[finite] - ref[finite]).max() <= 1e-12
+        assert np.array_equal(
+            select_lambda(X, Y, self.INNER, self.GRID), _reference_select(ref, self.GRID)
+        )
+        return counts
+
+    @pytest.mark.parametrize("kind", ["p<n", "p>n", "rank-deficient"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_explicit_weights(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        X = _design(kind, rng)
+        Y = X @ rng.standard_normal((X.shape[1], 6)) + rng.standard_normal((X.shape[0], 6))
+        Y = np.hstack([Y, rng.standard_normal((X.shape[0], 6))])
+        self._check(X, Y)
+
+    def test_designs_cover_truncated_rank(self):
+        rng = np.random.default_rng(0)
+        wide = _design("p>n", rng)
+        assert ridge.factor(wide[:32]).rank == 32 < wide.shape[1]
+        deficient = _design("rank-deficient", rng)
+        assert ridge.factor(deficient[:40]).rank == 3
+
+    def test_constant_target_in_one_fold_is_left_out(self):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((60, 8))
+        Y = X @ rng.standard_normal((8, 3)) + rng.standard_normal((60, 3))
+        te = make_folds(60, self.INNER).test_indices(2)
+        Y[te, 0] = 1.0
+        counts = self._check(X, Y)
+        assert (counts[:, 0] == self.INNER - 1).all()
+        assert (counts[:, 1:] == self.INNER).all()
+
+    def test_no_finite_score_ties_to_largest_lambda(self):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((60, 8))
+        Y = rng.standard_normal((60, 3))
+        Y[:, 1] = 0.0  # zero everywhere
+        Y[:, 2] = make_folds(60, self.INNER).assignment * 1.0  # constant per fold
+        counts = self._check(X, Y)
+        assert (counts[:, 1:] == 0).all()
+        assert (select_lambda(X, Y, self.INNER, self.GRID)[1:] == self.GRID[-1]).all()
+
+    def test_exact_tie_breaks_toward_larger_lambda(self, monkeypatch):
+        grid = np.array([0.1, 1.0, 10.0, 100.0])
+        tied = np.array([[0.5, 0.2], [0.7, 0.2], [0.7, 0.1], [0.3, 0.2]])
+        monkeypatch.setattr(crossval, "_lambda_scores", lambda *args: tied)
+        got = select_lambda(np.zeros((20, 2)), np.zeros((20, 2)), self.INNER, grid)
+        assert got.tolist() == [10.0, 100.0]
+
+    def test_peak_memory_below_one_weight_tensor(self):
+        rng = np.random.default_rng(13)
+        p, v = 64, 5000
+        X = rng.standard_normal((200, p))
+        Y = rng.standard_normal((200, v))
+        weight_tensor = self.GRID.size * p * v * 8
+        tracemalloc.start()
+        try:
+            select_lambda(X, Y, self.INNER, self.GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weight_tensor
 
 
 class TestFoldTtestPvalues:
