@@ -16,6 +16,7 @@ from brainalign.crossval import (
     DEFAULT_INNER_FOLDS,
     DEFAULT_LAMBDA_GRID,
     FoldScheme,
+    _nanmean_cols,
     fit_encoding,
 )
 
@@ -57,10 +58,8 @@ def noise_ceiling(
             X, Y_all[s], scheme, inner_folds=inner_folds, lambda_grid=lambda_grid
         )
         per_subject[s] = res.mean_correlation
-    with np.errstate(invalid="ignore"):
-        group = np.nanmean(per_subject, axis=0)
     return CeilingResult(
-        per_voxel_ceiling=group,
+        per_voxel_ceiling=_nanmean_cols(per_subject),
         per_subject_ceilings=per_subject,
         n_subjects=n_sub,
     )

@@ -26,7 +26,7 @@ import numpy as np
 from brainalign import __version__
 from brainalign.ceiling import CeilingResult, noise_ceiling
 from brainalign.contrast import connection_contrast, interaction_contrast
-from brainalign.crossval import EncodingResult, fit_encoding, make_folds
+from brainalign.crossval import EncodingResult, _nanmean_cols, fit_encoding, make_folds
 from brainalign.matrixio import (
     DatasetManifest,
     ManifestError,
@@ -45,16 +45,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_MISSING_ARTIFACT = 3
-
-_RESULT_FIELDS = (
-    "cv_predictions",
-    "fold_correlations",
-    "mean_correlation",
-    "selected_lambda",
-    "significance_pvalues",
-    "significant_mask",
-)
-
 
 def manifest_hash(path) -> str:
     with open(path, "rb") as fh:
@@ -141,8 +131,8 @@ def _trmap_config(manifest: DatasetManifest, policy_override: str | None) -> TrM
     return TrMapConfig(tr_seconds=manifest.tr_seconds, **cfg)
 
 
-def _load_xy(manifest, layer_file, responses, tr_cfg):
-    X = read_matrix(manifest.resolve(layer_file))
+def _align_xy(X, layer_file, responses, tr_cfg):
+    """Pair the feature rows of ``layer_file`` with their response rows."""
     if tr_cfg is not None:
         return align_rows(X, responses, tr_cfg)
     if X.shape[0] != responses.shape[0]:
@@ -154,10 +144,10 @@ def _load_xy(manifest, layer_file, responses, tr_cfg):
 
 def _fit_condition_subject(manifest, cond, sub, args, out_dir: Path):
     responses = read_matrix(manifest.resolve(sub.response_file))
-    tr_cfg = _trmap_config(manifest, getattr(args, "tr_policy", None))
+    tr_cfg = _trmap_config(manifest, args.tr_policy)
     results = []
     for layer, lf in enumerate(cond.layer_files):
-        X, Y = _load_xy(manifest, lf, responses, tr_cfg)
+        X, Y = _align_xy(read_matrix(manifest.resolve(lf)), lf, responses, tr_cfg)
         scheme = make_folds(X.shape[0], manifest.n_outer_folds)
         res = fit_encoding(
             X,
@@ -205,7 +195,7 @@ def cmd_fit(args) -> int:
                         "n_significant": int(sig.sum()),
                         "frac_significant": float(sig.mean()),
                         "mean_significant_correlation": float(vals.mean()) if vals.size else None,
-                        "mean_correlation": float(np.nanmean(res.mean_correlation)),
+                        "mean_correlation": float(_nanmean_cols(res.mean_correlation)),
                     }
                 )
             cond_summary[sub.id] = layers
@@ -264,7 +254,7 @@ def cmd_ceiling(args) -> int:
         manifest.resolve(manifest.subjects[0].roi_file), Y_all[0].shape[1]
     )
     per_roi = {
-        roi: float(np.nanmean(result.per_voxel_ceiling[idx])) for roi, idx in atlas.items()
+        roi: float(_nanmean_cols(result.per_voxel_ceiling[idx])) for roi, idx in atlas.items()
     }
     _write_json(
         out_dir / "ceiling_summary.json",
@@ -300,10 +290,11 @@ def cmd_contrast(args) -> int:
     t0 = time.time()
     out_root = Path(args.out)
     fit_root = out_root / "fit" / mhash
-    atlases = []
-    for sub in manifest.subjects:
-        cols = read_matrix(manifest.resolve(sub.response_file)).shape[1]
-        atlases.append(load_roi_atlas(manifest.resolve(sub.roi_file), cols))
+    responses = [read_matrix(manifest.resolve(sub.response_file)) for sub in manifest.subjects]
+    atlases = [
+        load_roi_atlas(manifest.resolve(sub.roi_file), Y.shape[1])
+        for sub, Y in zip(manifest.subjects, responses)
+    ]
 
     if args.mode == "connection":
         cond_a = manifest.condition(args.condition_a)
@@ -343,19 +334,15 @@ def cmd_contrast(args) -> int:
         lang = manifest.condition(args.unimodal_a)
         vis = manifest.condition(args.unimodal_b)
         tr_cfg = _trmap_config(manifest, args.tr_policy)
+        # each file is read once; every subject's rows are checked against all
+        # of them, and Y comes from the last joint layer
+        files = [lang.layer_files[-1], vis.layer_files[-1], *cond_joint.layer_files]
+        mats = [read_matrix(manifest.resolve(f)) for f in files]
+        lang_X, vis_X, *joint_layers = mats
         Y_subjects = []
-        joint_layers = None
-        lang_X = vis_X = None
-        for sub in manifest.subjects:
-            responses = read_matrix(manifest.resolve(sub.response_file))
-            jl = []
-            for lf in cond_joint.layer_files:
-                X, Y = _load_xy(manifest, lf, responses, tr_cfg)
-                jl.append(X)
-            if joint_layers is None:
-                joint_layers = jl
-                lang_X, _ = _load_xy(manifest, lang.layer_files[-1], responses, tr_cfg)
-                vis_X, _ = _load_xy(manifest, vis.layer_files[-1], responses, tr_cfg)
+        for sub_responses in responses:
+            for f, X in zip(files, mats):
+                _, Y = _align_xy(X, f, sub_responses, tr_cfg)
             Y_subjects.append(Y)
         scheme = make_folds(joint_layers[0].shape[0], manifest.n_outer_folds)
         report = interaction_contrast(
@@ -479,17 +466,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest=True):
-        if manifest:
-            p.add_argument("--manifest", required=True, help="dataset manifest (JSON)")
+    def common(p):
+        p.add_argument("--manifest", required=True, help="dataset manifest (JSON)")
         p.add_argument("--out", default="out", help="output root directory")
         p.add_argument("--threads", type=int, default=1, help="no effect; folds are fit serially")
+
+    def analysis(p):
+        """Flags of the subcommands that fit encoding models."""
+        common(p)
         p.add_argument("--seed-override", type=int, default=None)
         p.add_argument("--tr-policy", choices=["first_relevant", "last_relevant"], default=None)
         p.add_argument("--fdr", choices=["none", "bh"], default=None)
 
     p = sub.add_parser("fit", help="fit encoding models for manifest conditions")
-    common(p)
+    analysis(p)
     p.add_argument("--condition", default=None, help="fit one condition only")
     p.add_argument("--subject", default=None, help="fit one subject only")
     p.set_defaults(func=cmd_fit)
@@ -511,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ceiling)
 
     p = sub.add_parser("contrast", help="connection or interaction contrast")
-    common(p)
+    analysis(p)
     p.add_argument("--mode", choices=["connection", "interaction"], required=True)
     p.add_argument("--condition-a", required=True, help="reference (joint) condition")
     p.add_argument("--condition-b", default=None, help="ablated condition (connection mode)")

@@ -119,12 +119,6 @@ def _valid_mean(vals: np.ndarray) -> float:
     return float(vals.mean()) if vals.size else float("nan")
 
 
-def _nanmean(vals) -> float:
-    """np.nanmean of a sequence; NaN, without a warning, when all are NaN."""
-    vals = np.asarray(vals, dtype=np.float64)
-    return float(np.nanmean(vals)) if not np.isnan(vals).all() else float("nan")
-
-
 def _roi_union(atlas: dict, rois: list[str]) -> np.ndarray:
     """Sorted voxel indices in any of ``rois``; independent of ROI order."""
     return np.unique(np.concatenate([atlas[r] for r in rois]))
@@ -272,6 +266,13 @@ def interaction_contrast(
     draws are the exchangeable unit. With a ceiling, per-voxel scores are
     ceiling-normalized before ROI averaging. With more than one layer, the
     per-layer rows score the union of every ROI's voxels.
+
+    Every subject sees the same design (a layer's residual or one baseline
+    draw), so the subjects' voxels are stacked and each design is fitted
+    once: the number of fits does not depend on the number of subjects.
+    Subjects may differ in voxel count; each has its own atlas. (The
+    ``fit`` command still fits each subject alone, because ``fdr='bh'``
+    ranks p-values within one fit and stacking would pool subjects.)
     """
     if n_baseline < 3:
         raise ValueError("need at least 3 baseline draws")
@@ -282,58 +283,46 @@ def interaction_contrast(
         raise ValueError("subject lists must be nonempty and aligned")
     unimodal = np.hstack([lang_features, vis_features])
     roi_names = list(atlases[0].keys())
-    union_idx = [_roi_union(atlas, roi_names) for atlas in atlases]
+    # per subject: each ROI's voxels, then the union of all ROIs
+    regions = [
+        [np.asarray(atlas[r], dtype=np.int64) for r in roi_names] + [_roi_union(atlas, roi_names)]
+        for atlas in atlases
+    ]
+    Y = np.hstack(Y_subjects)
+    splits = np.cumsum([Ys.shape[1] for Ys in Y_subjects])[:-1]
     rng = np.random.default_rng(seed)
 
-    def voxel_scores(X, Y):
-        res = fit_encoding(
-            X, Y, scheme, inner_folds=inner_folds, lambda_grid=lambda_grid, alpha=alpha
-        )
-        scores = res.mean_correlation
-        if ceiling is not None:
-            scores = normalize_by_ceiling(scores, ceiling, floor=ceiling_floor)
-        return scores
-
     n_layers = len(joint_layers)
-    # one score per layer: resid_acc[s][roi], base_acc[k][s][roi], and over
-    # the union of all ROIs resid_union[s], base_union[k][s]
-    resid_acc = {s: {r: [] for r in roi_names} for s in range(n_sub)}
-    base_acc = {k: {s: {r: [] for r in roi_names} for s in range(n_sub)} for k in range(n_baseline)}
-    resid_union = [[] for _ in range(n_sub)]
-    base_union = [[[] for _ in range(n_sub)] for _ in range(n_baseline)]
-
-    def accumulate(acc, union_acc, X):
-        for s in range(n_sub):
-            sc = voxel_scores(X, Y_subjects[s])
-            for r in roi_names:
-                acc[s][r].append(roi_score(sc, None, atlases[s], r))
-            union_acc[s].append(_valid_mean(sc[union_idx[s]]))
-
-    for layer_X in joint_layers:
+    # scores[draw, layer, subject, region]; draw 0 is the residual
+    scores = np.empty((n_baseline + 1, n_layers, n_sub, len(roi_names) + 1))
+    for layer, layer_X in enumerate(joint_layers):
         resid = remove_information(unimodal, layer_X, scheme, lambda_grid, inner_folds)
-        accumulate(resid_acc, resid_union, resid)
-        for k in range(n_baseline):
-            if baseline == "gaussian":
-                Bmat = rng.standard_normal(resid.shape)
+        for draw in range(n_baseline + 1):
+            if draw == 0:
+                X = resid
+            elif baseline == "gaussian":
+                X = rng.standard_normal(resid.shape)
             else:
-                Bmat = resid[rng.permutation(resid.shape[0])]
-            accumulate(base_acc[k], base_union[k], Bmat)
+                X = resid[rng.permutation(resid.shape[0])]
+            res = fit_encoding(
+                X, Y, scheme, inner_folds=inner_folds, lambda_grid=lambda_grid, alpha=alpha
+            )
+            for s, sub_scores in enumerate(np.split(res.mean_correlation, splits)):
+                if ceiling is not None:
+                    sub_scores = normalize_by_ceiling(sub_scores, ceiling, floor=ceiling_floor)
+                scores[draw, layer, s] = [_valid_mean(sub_scores[idx]) for idx in regions[s]]
 
     report = ContrastReport(
         mode="interaction",
         voxel_selection="all-roi-voxels",
         normalized=ceiling is not None,
     )
-    for r in roi_names:
-        a = _nanmean([_nanmean(resid_acc[s][r]) for s in range(n_sub)])
-        draws = np.array(
-            [
-                _nanmean([_nanmean(base_acc[k][s][r]) for s in range(n_sub)])
-                for k in range(n_baseline)
-            ]
-        )
+    # group score per draw: mean over each subject's layers, then over subjects
+    roi_groups = np.apply_along_axis(_valid_mean, 1, np.apply_along_axis(_valid_mean, 1, scores))
+    for r, group in zip(roi_names, roi_groups.T[:-1]):
+        a, draws = float(group[0]), group[1:]
         stat, p, sd = _draw_ttest(a, draws)
-        mean_b = _nanmean(draws)
+        mean_b = _valid_mean(draws)
         report.roi_rows.append(
             {
                 "roi_name": r,
@@ -348,16 +337,12 @@ def interaction_contrast(
             }
         )
     if n_layers > 1:
-        for layer in range(n_layers):
-            a = _nanmean([resid_union[s][layer] for s in range(n_sub)])
-            draws = np.array(
-                [
-                    _nanmean([base_union[k][s][layer] for s in range(n_sub)])
-                    for k in range(n_baseline)
-                ]
-            )
+        # per draw and layer: the union-region score, mean over subjects
+        layer_groups = np.apply_along_axis(_valid_mean, 2, scores[..., -1])
+        for layer, group in enumerate(layer_groups.T):
+            a, draws = float(group[0]), group[1:]
             stat, p, _ = _draw_ttest(a, draws)
-            mean_b = _nanmean(draws)
+            mean_b = _valid_mean(draws)
             report.layerwise.append(
                 {
                     "layer": layer,

@@ -253,15 +253,14 @@ def score_alignment(result: EncodingResult, voxel_subset) -> float:
 
 
 def _nanmean_cols(arr: np.ndarray) -> np.ndarray:
+    """np.nanmean(arr, axis=0), bit for bit, without the "Mean of empty
+    slice" warning; NaN where a column is all NaN."""
     if not np.isnan(arr).any():
         return arr.mean(axis=0)
     valid = ~np.isnan(arr)
-    counts = valid.sum(axis=0)
-    sums = np.where(valid, arr, 0.0).sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = sums / counts
-    out[counts == 0] = np.nan
-    return out
+    with np.errstate(invalid="ignore"):
+        # an all-NaN column sums to 0.0 over 0 values: 0/0 is NaN
+        return np.where(valid, arr, 0.0).sum(axis=0) / valid.sum(axis=0)
 
 
 def _fold_ttest_pvalues(fold_r: np.ndarray, test_to_train: float = 0.0) -> np.ndarray:

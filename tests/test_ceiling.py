@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,16 @@ class TestNoiseCeiling:
         assert np.allclose(
             res.per_voxel_ceiling, res.per_subject_ceilings.mean(axis=0)
         )
+
+    def test_constant_voxel_is_nan_without_warning(self, scheme):
+        subs = _subjects(1.0, seed=6)
+        for Y in subs:
+            Y[:, 2] = 3.0  # constant in every subject
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = noise_ceiling(subs, scheme, GRID)
+        assert np.isnan(res.per_voxel_ceiling[2])
+        assert np.isfinite(np.delete(res.per_voxel_ceiling, 2)).all()
 
     def test_too_few_subjects(self, scheme):
         Y = np.zeros((120, 4))

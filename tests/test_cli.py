@@ -309,6 +309,49 @@ class TestThreadsFlag:
         assert err[0] == "note: --threads 4 has no effect; folds are fit serially"
 
 
+class TestFlagsOnlyWhereUsed:
+    @pytest.mark.parametrize("command", ["ceiling", "report"])
+    @pytest.mark.parametrize(
+        "flag", [["--fdr", "bh"], ["--seed-override", "3"], ["--tr-policy", "last_relevant"]]
+    )
+    def test_unused_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", str(tmp_path / "m.json"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestInteractionInputs:
+    def test_each_input_file_read_once(self, dataset, tmp_path, monkeypatch):
+        from brainalign import cli
+
+        manifest, _ = dataset
+        reads = []
+        read = cli.read_matrix
+        monkeypatch.setattr(cli, "read_matrix", lambda p, **kw: reads.append(p) or read(p, **kw))
+        argv = ["contrast", "--manifest", str(manifest), "--out", str(tmp_path), "--mode",
+                "interaction", "--condition-a", "joint", "--n-baseline", "3"]
+        assert main(argv) == EXIT_OK
+        # 3 response files, one joint layer and the two unimodal layers
+        assert len(reads) == 6 and len(set(reads)) == 6
+
+    def test_every_subject_is_tr_aligned(self, tmp_path, capsys):
+        manifest = _synth(tmp_path / "data", seed=2)
+        raw = json.loads(manifest.read_text())
+        raw["trmap"] = {}  # stimuli every 3 s, TRs of 1.49 s: 120 stimuli need 241 rows
+        manifest.write_text(json.dumps(raw))
+        paths = [manifest.parent / sub["response_file"] for sub in raw["subjects"]]
+        for path in paths:
+            Y = read_matrix(path)
+            write_matrix(np.vstack([Y, Y, Y[:1]]), path)
+        argv = ["contrast", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                "--mode", "interaction", "--condition-a", "joint", "--n-baseline", "3"]
+        assert main(argv) == EXIT_OK
+        write_matrix(read_matrix(paths[-1])[:200], paths[-1])  # the last subject only
+        assert main(argv) == EXIT_INPUT
+        assert "map past the recording" in capsys.readouterr().err
+
+
 class TestResidual:
     def test_self_removal(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from brainalign import ridge
 from brainalign.contrast import (
     connection_contrast,
     interaction_contrast,
@@ -239,6 +240,47 @@ class TestInteractionContrast:
             assert np.isfinite(rows["roi_interaction"]["p_value"])
         layers_nan = [np.isnan(row["mean_A"]) for row in report.layerwise]
         assert layers_nan == [rois == ("roi_null",)] * 2
+
+    def test_factor_count_does_not_depend_on_subjects(self, monkeypatch):
+        data = generate(SynthSpec(seed=21))
+        factor = ridge.factor
+        counts = []
+        for n_sub in (2, 4):
+            calls = []
+            monkeypatch.setattr(ridge, "factor", lambda X: calls.append(1) or factor(X))
+            interaction_contrast(
+                [data.features["joint"]],
+                data.features["lang_only"],
+                data.features["vis_only"],
+                data.responses[:n_sub],
+                [data.atlas] * n_sub,
+                make_folds(120, 6),
+                lambda_grid=GRID,
+                n_baseline=3,
+            )
+            counts.append(len(calls))
+        # one residualization plus 1 + 3 designs, each 6 outer x (5 inner + 1) SVDs
+        assert counts == [36 * 5, 36 * 5]
+
+    def test_subjects_of_unequal_width(self):
+        data = generate(SynthSpec(seed=21))
+        keep = np.arange(0, data.responses[1].shape[1], 2)
+        narrow_atlas = {r: np.flatnonzero(np.isin(keep, idx)) for r, idx in data.atlas.items()}
+        report = interaction_contrast(
+            [data.features["joint"], data.features["mask_truth"]],
+            data.features["lang_only"],
+            data.features["vis_only"],
+            [data.responses[0], data.responses[1][:, keep], data.responses[2]],
+            [data.atlas, narrow_atlas, data.atlas],
+            make_folds(120, 6),
+            lambda_grid=GRID,
+            n_baseline=3,
+        )
+        assert len(report.roi_rows) == len(data.atlas) and len(report.layerwise) == 2
+        for row in report.roi_rows + report.layerwise:
+            assert row["n_subjects"] == 3
+            for key in ("mean_A", "mean_B", "diff", "p_value"):
+                assert np.isfinite(row[key])
 
     def test_parameter_validation(self):
         data = generate(SynthSpec(seed=1))

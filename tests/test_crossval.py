@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from brainalign.crossval import (
     EncodingResult,
     _fold_ttest_pvalues,
     _lambda_scores,
+    _nanmean_cols,
     fit_encoding,
     make_folds,
     score_alignment,
@@ -160,6 +162,42 @@ class TestFitEncoding:
         res = fit_encoding(X, Y, scheme, fdr="bh")
         # BH under the complete null selects (almost always) nothing
         assert res.significant_mask.sum() <= fit_encoding(X, Y, scheme).significant_mask.sum()
+
+
+class TestStackedTargets:
+    @pytest.mark.parametrize("p", [6, 150])  # p < n, and p > n (rank truncated)
+    def test_stacked_fit_matches_per_subject_fits(self, scheme, p):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((120, p))
+        Ys = [
+            X[:, :4] @ rng.standard_normal((4, v)) + rng.standard_normal((120, v))
+            for v in (3, 7, 5)
+        ]
+        Ys[1][:, 2] = 1.0  # a constant voxel
+        stacked = fit_encoding(X, np.hstack(Ys), scheme)
+        splits = np.cumsum([Y.shape[1] for Y in Ys])[:-1]
+        lams = np.split(stacked.selected_lambda, splits, axis=1)
+        rs = np.split(stacked.mean_correlation, splits)
+        for Y, lam, r in zip(Ys, lams, rs):
+            alone = fit_encoding(X, Y, scheme)
+            assert np.array_equal(lam, alone.selected_lambda)
+            np.testing.assert_allclose(r, alone.mean_correlation, rtol=0, atol=1e-12)
+
+
+class TestNanmeanCols:
+    def test_equals_numpy_nanmean_without_warning(self):
+        rng = np.random.default_rng(12)
+        arr = rng.standard_normal((40, 5))
+        arr[rng.random(arr.shape) < 0.3] = np.nan
+        arr[:, 3] = np.nan
+        with pytest.warns(RuntimeWarning):
+            expected = np.nanmean(arr, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_nanmean_cols(arr), expected, equal_nan=True)
+            for col in np.delete(arr, 3, axis=1).T:  # 1-D, as the CLI summaries pass it
+                assert _nanmean_cols(col) == np.nanmean(col)
+            assert np.isnan(_nanmean_cols(arr[:, 3]))
 
 
 def _reference_lambda_scores(X, Y, inner_folds, grid):
