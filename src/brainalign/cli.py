@@ -6,10 +6,12 @@ dependency artifact.
 
 Fit artifacts are cached under ``<out>/fit/<manifest-hash>/`` and reused
 by ``contrast`` and ``report``; the regularization sweep dominates the
-cost and every contrast reuses it. All outputs are deterministic for a
-fixed manifest and seed: folds are fit serially in index order and timing
-information lives only in the ``run_record`` sidecar, never inside data
-artifacts.
+cost and every contrast reuses it. Every subject sees the same features,
+so ``fit`` stacks the subjects' responses into one fit per condition and
+layer, then decides significance (``--fdr bh`` included) per subject.
+All outputs are deterministic for a fixed manifest and seed: folds are fit
+serially in index order and timing information lives only in the
+``run_record`` sidecar, never inside data artifacts.
 """
 
 from __future__ import annotations
@@ -131,36 +133,54 @@ def _trmap_config(manifest: DatasetManifest, policy_override: str | None) -> TrM
     return TrMapConfig(tr_seconds=manifest.tr_seconds, **cfg)
 
 
-def _align_xy(X, layer_file, responses, tr_cfg):
-    """Pair the feature rows of ``layer_file`` with their response rows."""
+def _aligned_responses(X, layer_file, responses, tr_cfg):
+    """The response rows paired with the feature rows of ``layer_file``."""
     if tr_cfg is not None:
-        return align_rows(X, responses, tr_cfg)
+        return align_rows(X, responses, tr_cfg)[1]
     if X.shape[0] != responses.shape[0]:
         raise ManifestError(
             f"{layer_file}: {X.shape[0]} feature rows vs {responses.shape[0]} response rows"
         )
-    return X, responses
+    return responses
 
 
-def _fit_condition_subject(manifest, cond, sub, args, out_dir: Path):
-    responses = read_matrix(manifest.resolve(sub.response_file))
+def _fit_condition(manifest, cond, subjects, responses, args, out_root: Path):
+    """Fit each layer of ``cond`` once for all ``subjects`` (their TR-aligned
+    responses share its features) and split the result back by subject, each
+    with its own significance (``--fdr bh`` included). Writes the layer
+    artifacts under ``out_root/<condition>/<subject>``; returns them per subject."""
     tr_cfg = _trmap_config(manifest, args.tr_policy)
-    results = []
+    per_subject = [[] for _ in subjects]
     for layer, lf in enumerate(cond.layer_files):
-        X, Y = _align_xy(read_matrix(manifest.resolve(lf)), lf, responses, tr_cfg)
-        scheme = make_folds(X.shape[0], manifest.n_outer_folds)
+        X = read_matrix(manifest.resolve(lf))
+        Ys = [_aligned_responses(X, lf, Y, tr_cfg) for Y in responses]
         res = fit_encoding(
             X,
-            Y,
-            scheme,
+            Ys[0] if len(Ys) == 1 else np.hstack(Ys),  # one subject: no copy
+            make_folds(X.shape[0], manifest.n_outer_folds),
             inner_folds=manifest.n_inner_folds,
             lambda_grid=manifest.lambda_grid,
             alpha=manifest.significance_alpha,
-            fdr=args.fdr or manifest.fdr,
         )
-        _save_result(res, out_dir, layer)
-        results.append(res)
-    return results
+        stop = 0
+        for sub, Y, results in zip(subjects, Ys, per_subject):
+            sub_res = res.columns(slice(stop, stop + Y.shape[1]), args.fdr or manifest.fdr)
+            stop += Y.shape[1]
+            _save_result(sub_res, out_root / cond.name / sub.id, layer)
+            results.append(sub_res)
+    return per_subject
+
+
+def _layer_summary(res: EncodingResult) -> dict:
+    sig = res.significant_mask
+    vals = res.mean_correlation[sig]
+    vals = vals[~np.isnan(vals)]
+    return {
+        "n_significant": int(sig.sum()),
+        "frac_significant": float(sig.mean()),
+        "mean_significant_correlation": float(vals.mean()) if vals.size else None,
+        "mean_correlation": float(_nanmean_cols(res.mean_correlation)),
+    }
 
 
 def cmd_fit(args) -> int:
@@ -171,6 +191,7 @@ def cmd_fit(args) -> int:
     out_root = Path(args.out) / "fit" / mhash
     conditions = [manifest.condition(args.condition)] if args.condition else manifest.conditions
     subjects = [manifest.subject(args.subject)] if args.subject else manifest.subjects
+    responses = [read_matrix(manifest.resolve(sub.response_file)) for sub in subjects]
     stages = {}
     summary_path = out_root / "fit_summary.json"
     summary = {"conditions": {}}
@@ -179,27 +200,14 @@ def cmd_fit(args) -> int:
         summary = json.loads(summary_path.read_text())
     summary["run_record"] = record
     for cond in conditions:
+        s0 = time.time()
+        per_subject = _fit_condition(manifest, cond, subjects, responses, args, out_root)
+        stages[cond.name] = time.time() - s0
         cond_summary = summary["conditions"].setdefault(cond.name, {})
-        for sub in subjects:
-            s0 = time.time()
-            out_dir = out_root / cond.name / sub.id
-            results = _fit_condition_subject(manifest, cond, sub, args, out_dir)
-            stages[f"{cond.name}/{sub.id}"] = time.time() - s0
-            layers = []
-            for res in results:
-                sig = res.significant_mask
-                vals = res.mean_correlation[sig]
-                vals = vals[~np.isnan(vals)]
-                layers.append(
-                    {
-                        "n_significant": int(sig.sum()),
-                        "frac_significant": float(sig.mean()),
-                        "mean_significant_correlation": float(vals.mean()) if vals.size else None,
-                        "mean_correlation": float(_nanmean_cols(res.mean_correlation)),
-                    }
-                )
-            cond_summary[sub.id] = layers
-            _write_json(out_dir / "summary.json", {"run_record": record, "layers": layers})
+        for sub, results in zip(subjects, per_subject):
+            layers = cond_summary[sub.id] = [_layer_summary(res) for res in results]
+            sub_summary = {"run_record": record, "layers": layers}
+            _write_json(out_root / cond.name / sub.id / "summary.json", sub_summary)
     out_root.mkdir(parents=True, exist_ok=True)
     _write_json(summary_path, summary)
     _write_sidecar(out_root, record, t0, stages)
@@ -302,23 +310,19 @@ def cmd_contrast(args) -> int:
 
         def load_all(cond):
             per_subject = []
-            for sub in manifest.subjects:
+            for sub, Y in zip(manifest.subjects, responses):
                 d = fit_root / cond.name / sub.id
-                layers = []
-                for layer in range(len(cond.layer_files)):
-                    try:
-                        layers.append(
-                            _load_result(d, layer, manifest.significance_alpha)
-                        )
-                    except FileNotFoundError as exc:
-                        if args.refit:
-                            layers = _fit_condition_subject(
-                                manifest, cond, sub, args, d
-                            )
-                            break
+                try:
+                    layers = [
+                        _load_result(d, layer, manifest.significance_alpha)
+                        for layer in range(len(cond.layer_files))
+                    ]
+                except FileNotFoundError as exc:
+                    if not args.refit:
                         raise FileNotFoundError(
                             f"missing fit artifact {exc}; run fit first or pass --refit"
                         ) from exc
+                    [layers] = _fit_condition(manifest, cond, [sub], [Y], args, fit_root)
                 per_subject.append(layers)
             return per_subject
 
@@ -342,7 +346,7 @@ def cmd_contrast(args) -> int:
         Y_subjects = []
         for sub_responses in responses:
             for f, X in zip(files, mats):
-                _, Y = _align_xy(X, f, sub_responses, tr_cfg)
+                Y = _aligned_responses(X, f, sub_responses, tr_cfg)
             Y_subjects.append(Y)
         scheme = make_folds(joint_layers[0].shape[0], manifest.n_outer_folds)
         report = interaction_contrast(
@@ -543,6 +547,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "contrast" and args.mode == "connection" and not args.condition_b:
         parser.error("--condition-b is required for connection mode")
+    if args.command == "contrast" and args.mode == "interaction":
+        for flag, value in (("--fdr", args.fdr), ("--refit", args.refit)):
+            if value:
+                parser.error(f"{flag} has no effect in interaction mode")
     if getattr(args, "threads", 1) != 1:
         print(
             f"note: --threads {args.threads} has no effect; folds are fit serially",

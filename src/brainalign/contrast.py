@@ -146,7 +146,6 @@ def connection_contrast(
     joint_results: list[list[EncodingResult]],
     ablated_results: list[list[EncodingResult]],
     atlases: list[dict],
-    language_rois: list[str] | None = None,
     condition_a: str = "joint",
     condition_b: str = "ablated",
 ) -> ContrastReport:
@@ -170,8 +169,6 @@ def connection_contrast(
 
     masks = [union_mask(jr) for jr in joint_results]
     roi_names = list(atlases[0].keys())
-    if language_rois is None:
-        language_rois = roi_names
 
     report = ContrastReport(
         mode="connection",
@@ -205,12 +202,12 @@ def connection_contrast(
             }
         )
 
-    # per-layer curve over the union mask restricted to the language ROIs
+    # per-layer curve over the union mask restricted to the voxels of every ROI
     for layer in range(n_layers):
         a = np.full(n_sub, np.nan)
         b = np.full(n_sub, np.nan)
         for s in range(n_sub):
-            roi_idx = _roi_union(atlases[s], language_rois)
+            roi_idx = _roi_union(atlases[s], roi_names)
             idx = roi_idx[masks[s][roi_idx]]
             if idx.size == 0:
                 continue

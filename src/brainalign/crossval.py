@@ -60,6 +60,21 @@ class EncodingResult:
     alpha: float
     fold_weights: list = field(default_factory=list, repr=False)
 
+    def columns(self, cols: slice, fdr: str) -> "EncodingResult":
+        """The result for the targets in ``cols`` (a slice, so views, not
+        copies), with significance decided among those targets alone."""
+        pvals = self.significance_pvalues[cols]
+        return EncodingResult(
+            cv_predictions=self.cv_predictions[:, cols],
+            fold_correlations=self.fold_correlations[:, cols],
+            mean_correlation=self.mean_correlation[cols],
+            selected_lambda=self.selected_lambda[:, cols],
+            significance_pvalues=pvals,
+            significant_mask=_significance_mask(pvals, self.alpha, fdr),
+            alpha=self.alpha,
+            fold_weights=[W[:, cols] for W in self.fold_weights],
+        )
+
 
 def _train_stats(arr: np.ndarray):
     """Per-column mean/scale from training rows; constant columns get
@@ -215,14 +230,6 @@ def fit_encoding(
     mean_r = _nanmean_cols(fold_r)
     test_frac = 1.0 / scheme.n_folds
     pvals = _fold_ttest_pvalues(fold_r, test_to_train=test_frac / (1.0 - test_frac))
-    if fdr == "bh":
-        mask = bh_fdr(pvals, alpha)
-    elif fdr == "none":
-        with np.errstate(invalid="ignore"):
-            mask = pvals < alpha
-        mask[np.isnan(pvals)] = False
-    else:
-        raise ValueError(f"unknown fdr mode {fdr!r}")
 
     return EncodingResult(
         cv_predictions=cv_pred,
@@ -230,10 +237,22 @@ def fit_encoding(
         mean_correlation=mean_r,
         selected_lambda=sel,
         significance_pvalues=pvals,
-        significant_mask=mask,
+        significant_mask=_significance_mask(pvals, alpha, fdr),
         alpha=alpha,
         fold_weights=weights if keep_weights else [],
     )
+
+
+def _significance_mask(pvals: np.ndarray, alpha: float, fdr: str) -> np.ndarray:
+    """Targets significant at ``alpha``: ``fdr='bh'`` applies
+    Benjamini-Hochberg to ``pvals``, ``'none'`` takes p < alpha. NaN
+    p-values are never significant."""
+    if fdr == "bh":
+        return bh_fdr(pvals, alpha)
+    if fdr == "none":
+        with np.errstate(invalid="ignore"):
+            return pvals < alpha  # NaN compares False
+    raise ValueError(f"unknown fdr mode {fdr!r}")
 
 
 def score_alignment(result: EncodingResult, voxel_subset) -> float:

@@ -105,27 +105,6 @@ def student_t_sf(t, dof):
     return out if out.ndim else float(out)
 
 
-def pearson(a, b) -> float:
-    """Pearson correlation of two vectors of length >= 3.
-
-    Returns NaN (a flagged undefined value, excluded from downstream
-    averages) if either vector is constant.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size < 3:
-        raise ValueError("need at least 3 samples")
-    da = a - a.mean()
-    db = b - b.mean()
-    na = np.sqrt(np.dot(da, da))
-    nb = np.sqrt(np.dot(db, db))
-    if na == 0.0 or nb == 0.0:
-        return float("nan")
-    return float(np.dot(da, db) / (na * nb))
-
-
 def pearson_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Columnwise Pearson correlation of two n-by-v arrays.
 

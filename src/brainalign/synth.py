@@ -99,18 +99,17 @@ class SynthData:
     spec: SynthSpec
 
 
-def _ar1(rng: np.random.Generator, n: int, d: int, rho: float) -> np.ndarray:
-    """AR(1)-smoothed standard-normal columns, re-standardized."""
-    eps = rng.standard_normal((n, d))
+def _ar1(eps: list[np.ndarray], rho: float) -> list[np.ndarray]:
+    """AR(1)-smoothed standard-normal columns of each array, re-standardized.
+    One loop smooths the stacked columns (they never mix); each array is then
+    standardized alone and contiguous, bit-identical to smoothing it by itself."""
+    out = np.hstack(eps)
     if rho > 0:
-        out = np.empty_like(eps)
-        out[0] = eps[0]
         c = np.sqrt(1.0 - rho * rho)
-        for t in range(1, n):
-            out[t] = rho * out[t - 1] + c * eps[t]
-    else:
-        out = eps
-    return _standardize(out)
+        for t in range(1, out.shape[0]):
+            out[t] = rho * out[t - 1] + c * out[t]
+    cuts = np.cumsum([e.shape[1] for e in eps[:-1]])
+    return [_standardize(np.ascontiguousarray(z)) for z in np.split(out, cuts, axis=1)]
 
 
 def _standardize(arr: np.ndarray) -> np.ndarray:
@@ -135,11 +134,9 @@ def generate(spec: SynthSpec) -> SynthData:
     n = spec.n_samples
     dims = spec.latent_dims
 
-    z = {
-        "lang": _ar1(rng, n, dims["lang"], spec.ar_coef),
-        "vis": _ar1(rng, n, dims["vis"], spec.ar_coef),
-        "shared": _ar1(rng, n, dims["shared"], spec.ar_coef),
-    }
+    smoothed = ("lang", "vis", "shared")
+    eps = [rng.standard_normal((n, dims[k])) for k in smoothed]
+    z = dict(zip(smoothed, _ar1(eps, spec.ar_coef)))
     d_int = dims["interaction"]
     proj_l = rng.standard_normal((dims["lang"], d_int)) / np.sqrt(dims["lang"])
     proj_v = rng.standard_normal((dims["vis"], d_int)) / np.sqrt(dims["vis"])

@@ -321,6 +321,150 @@ class TestFlagsOnlyWhereUsed:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestInteractionFlags:
+    @pytest.mark.parametrize("flag", [["--fdr", "bh"], ["--refit"]])
+    def test_connection_only_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        argv = ["contrast", "--manifest", str(tmp_path / "m.json"), "--mode", "interaction",
+                "--condition-a", "joint", *flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+
+def _write_dataset(root, X, responses, trmap=False):
+    """A one-condition manifest over ``X`` with one response file per subject."""
+    root.mkdir(parents=True)
+    write_matrix(X, root / "x.eamx")
+    subjects = []
+    for i, Y in enumerate(responses):
+        write_matrix(Y, root / f"y{i}.eamx")
+        (root / f"rois{i}.json").write_text(json.dumps({"all": list(range(Y.shape[1]))}))
+        subjects.append({"id": f"s{i:02d}", "response_file": f"y{i}.eamx", "roi_file": f"rois{i}.json"})
+    manifest = {
+        "subjects": subjects,
+        "conditions": [{"name": "c", "layer_files": ["x.eamx"]}],
+        "tr_seconds": 1.49,
+        "n_outer_folds": 6,
+        "n_inner_folds": 5,
+        "lambda_grid": np.logspace(-1, 6, 8).tolist(),
+        "significance_alpha": 0.05,
+        "seed": 0,
+    }
+    if trmap:
+        manifest["trmap"] = {}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root / "manifest.json"
+
+
+def _fit_artifacts(d):
+    return {p.name: read_matrix(p, validate=False) for p in sorted(d.glob("layer_*.eamx"))}
+
+
+def _assert_same_fit(got, want):
+    assert got.keys() == want.keys()
+    for name, arr in want.items():
+        if name.endswith(("selected_lambda.eamx", "significant_mask.eamx")):
+            assert np.array_equal(got[name], arr), name
+        else:
+            np.testing.assert_allclose(got[name], arr, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestStackedFit:
+    def test_factor_count_does_not_depend_on_subjects(self, tmp_path, monkeypatch):
+        from brainalign import ridge
+
+        calls = []
+        factor = ridge.factor
+        monkeypatch.setattr(ridge, "factor", lambda X: calls.append(X.shape) or factor(X))
+        counts = []
+        for n_subjects in (2, 4):
+            manifest = _synth(tmp_path / f"d{n_subjects}", n_subjects=n_subjects)
+            calls.clear()
+            assert main(["fit", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == EXIT_OK
+            counts.append(len(calls))
+        # 4 conditions x 6 outer folds x (5 inner SVDs + 1 final)
+        assert counts == [144, 144]
+
+    def test_each_input_file_read_once(self, dataset, tmp_path, monkeypatch):
+        from brainalign import cli
+
+        manifest, _ = dataset
+        reads = []
+        read = cli.read_matrix
+        monkeypatch.setattr(cli, "read_matrix", lambda p, **kw: reads.append(p) or read(p, **kw))
+        assert main(["fit", "--manifest", str(manifest), "--out", str(tmp_path)]) == EXIT_OK
+        # 3 response files and one layer file for each of 4 conditions
+        assert len(reads) == 7 and len(set(reads)) == 7
+
+    @pytest.mark.parametrize("trmap", [False, True])
+    def test_matches_per_subject_fits_with_bh_per_subject(self, tmp_path, trmap):
+        from brainalign.crossval import fit_encoding, make_folds
+        from brainalign.stats import bh_fdr
+        from brainalign.trmap import TrMapConfig, stimulus_to_tr
+
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((120, 6))
+        # one subject with strong signal, one with weak: BH pooled over both
+        # would let the strong p-values raise the weak subject's threshold
+        aligned = [
+            X @ rng.standard_normal((6, 20)) + 0.5 * rng.standard_normal((120, 20)),
+            0.12 * (X @ rng.standard_normal((6, 20))) + rng.standard_normal((120, 20)),
+        ]
+        responses = aligned
+        if trmap:
+            rows = [stimulus_to_tr(i, TrMapConfig()) for i in range(120)]
+            responses = []
+            for Y in aligned:
+                raw = rng.standard_normal((rows[-1] + 1, Y.shape[1]))
+                raw[rows] = Y
+                responses.append(raw)
+        manifest = _write_dataset(tmp_path / "data", X, responses, trmap=trmap)
+        out = tmp_path / "out"
+        assert main(["fit", "--manifest", str(manifest), "--out", str(out), "--fdr", "bh"]) == EXIT_OK
+
+        fit_root = out / "fit" / manifest_hash(manifest) / "c"
+        own = []
+        for i, Y in enumerate(aligned):
+            ref = fit_encoding(X, Y, make_folds(120, 6), inner_folds=5,
+                               lambda_grid=np.logspace(-1, 6, 8), fdr="bh")
+            want = {
+                "layer_00_cv_predictions.eamx": ref.cv_predictions,
+                "layer_00_fold_correlations.eamx": ref.fold_correlations,
+                "layer_00_mean_correlation.eamx": ref.mean_correlation[None, :],
+                "layer_00_selected_lambda.eamx": ref.selected_lambda,
+                "layer_00_significance_pvalues.eamx": ref.significance_pvalues[None, :],
+                "layer_00_significant_mask.eamx": ref.significant_mask[None, :].astype(float),
+            }
+            _assert_same_fit(_fit_artifacts(fit_root / f"s{i:02d}"), want)
+            own.append(ref)
+        pooled = bh_fdr(np.concatenate([r.significance_pvalues for r in own]), 0.05)
+        assert not np.array_equal(pooled, np.concatenate([r.significant_mask for r in own]))
+
+    def test_subject_fit_and_refit_write_the_same_artifacts(self, dataset, tmp_path):
+        manifest, shared = dataset
+        fit_root = lambda out: out / "fit" / manifest_hash(manifest)
+        out = tmp_path / "one"
+        assert main(["fit", "--manifest", str(manifest), "--out", str(out), "--subject", "s01"]) == EXIT_OK
+        assert sorted(p.name for p in fit_root(out).iterdir()) == sorted(
+            p.name for p in fit_root(shared).iterdir()
+        )
+        for cond in ("joint", "lang_only", "vis_only", "mask_truth"):
+            d = fit_root(out) / cond
+            assert [p.name for p in d.iterdir()] == ["s01"]
+            assert (d / "s01" / "summary.json").exists()
+            _assert_same_fit(_fit_artifacts(d / "s01"), _fit_artifacts(fit_root(shared) / cond / "s01"))
+
+        out = tmp_path / "refit"
+        argv = ["contrast", "--manifest", str(manifest), "--out", str(out), "--mode", "connection",
+                "--condition-a", "joint", "--condition-b", "lang_only", "--refit"]
+        assert main(argv) == EXIT_OK
+        for cond in ("joint", "lang_only"):
+            for sub in ("s00", "s01", "s02"):
+                d = fit_root(out) / cond / sub
+                _assert_same_fit(_fit_artifacts(d), _fit_artifacts(fit_root(shared) / cond / sub))
+
+
 class TestInteractionInputs:
     def test_each_input_file_read_once(self, dataset, tmp_path, monkeypatch):
         from brainalign import cli

@@ -129,9 +129,17 @@ class TestConnectionContrast:
 
     def test_layerwise_rows_present(self, synth_fits):
         data, joint, ablated, atlases = synth_fits
-        report = connection_contrast(joint, ablated, atlases, language_rois=["roi_language"])
+        report = connection_contrast(joint, ablated, atlases)
         assert len(report.layerwise) == 1
-        assert report.layerwise[0]["layer"] == 0
+        row = report.layerwise[0]
+        assert row["layer"] == 0
+        # the curve scores the significant voxels of every ROI
+        voxels = np.concatenate(list(data.atlas.values()))
+        expected = []
+        for jr in joint:
+            idx = voxels[union_mask(jr)[voxels]]
+            expected.append(np.nanmean(jr[0].mean_correlation[idx]))
+        assert row["mean_A"] == pytest.approx(np.mean(expected), abs=1e-12)
 
     def test_misaligned_inputs(self, synth_fits):
         data, joint, ablated, atlases = synth_fits

@@ -174,14 +174,21 @@ class TestStackedTargets:
             for v in (3, 7, 5)
         ]
         Ys[1][:, 2] = 1.0  # a constant voxel
-        stacked = fit_encoding(X, np.hstack(Ys), scheme)
-        splits = np.cumsum([Y.shape[1] for Y in Ys])[:-1]
-        lams = np.split(stacked.selected_lambda, splits, axis=1)
-        rs = np.split(stacked.mean_correlation, splits)
-        for Y, lam, r in zip(Ys, lams, rs):
-            alone = fit_encoding(X, Y, scheme)
-            assert np.array_equal(lam, alone.selected_lambda)
-            np.testing.assert_allclose(r, alone.mean_correlation, rtol=0, atol=1e-12)
+        stacked = fit_encoding(X, np.hstack(Ys), scheme, keep_weights=True)
+        stop = 0
+        for Y in Ys:
+            part = stacked.columns(slice(stop, stop + Y.shape[1]), "bh")
+            stop += Y.shape[1]
+            alone = fit_encoding(X, Y, scheme, fdr="bh", keep_weights=True)
+            assert np.array_equal(part.selected_lambda, alone.selected_lambda)
+            assert np.array_equal(part.significant_mask, alone.significant_mask)
+            for name in ("cv_predictions", "fold_correlations", "mean_correlation",
+                         "significance_pvalues"):
+                np.testing.assert_allclose(
+                    getattr(part, name), getattr(alone, name), rtol=0, atol=1e-12, err_msg=name
+                )
+            for W, W_alone in zip(part.fold_weights, alone.fold_weights, strict=True):
+                np.testing.assert_allclose(W, W_alone, rtol=0, atol=1e-12)
 
 
 class TestNanmeanCols:

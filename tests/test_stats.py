@@ -11,7 +11,6 @@ from brainalign.stats import (
     bh_fdr,
     one_sample_ttest,
     paired_ttest,
-    pearson,
     pearson_columns,
     student_t_sf,
 )
@@ -185,28 +184,33 @@ class TestPairedTtest:
         assert res.p_value == pytest.approx(ref.p_value)
 
 
+def _r(a, b) -> float:
+    """pearson_columns on two one-column inputs."""
+    return float(pearson_columns(np.asarray(a, float)[:, None], np.asarray(b, float)[:, None])[0])
+
+
 class TestPearson:
     def test_identity(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert pearson(a, a) == pytest.approx(1.0)
+        assert _r(a, a) == pytest.approx(1.0)
 
     def test_negative_affine(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert pearson(a, -2 * a + 7) == pytest.approx(-1.0)
+        assert _r(a, -2 * a + 7) == pytest.approx(-1.0)
 
     def test_direct_formula(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
         b = np.array([1.0, 2.0, 3.0, 100.0])
         da, db = a - a.mean(), b - b.mean()
         expected = (da * db).sum() / math.sqrt((da**2).sum() * (db**2).sum())
-        assert pearson(a, b) == pytest.approx(expected, abs=1e-14)
+        assert _r(a, b) == pytest.approx(expected, abs=1e-14)
 
     def test_constant_flagged(self):
-        assert math.isnan(pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+            _r([1.0, 2.0, 3.0], [1.0, 2.0])
 
     @given(
         scale=st.floats(1e-3, 1e3),
@@ -221,12 +225,8 @@ class TestPearson:
         # tolerance bounded by input conditioning: values near `shift`
         # carry absolute rounding error ~shift*eps, which is ~1e-9 of the
         # spread at the worst scale/shift combination in range
-        assert pearson(scale * a + shift, b) == pytest.approx(
-            pearson(a, b), abs=1e-9
-        )
-        assert pearson(-scale * a + shift, b) == pytest.approx(
-            -pearson(a, b), abs=1e-9
-        )
+        assert _r(scale * a + shift, b) == pytest.approx(_r(a, b), abs=1e-9)
+        assert _r(-scale * a + shift, b) == pytest.approx(-_r(a, b), abs=1e-9)
 
     def test_columns_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -234,7 +234,9 @@ class TestPearson:
         B = rng.standard_normal((15, 4))
         cols = pearson_columns(A, B)
         for j in range(4):
-            assert cols[j] == pytest.approx(pearson(A[:, j], B[:, j]), abs=1e-14)
+            da, db = A[:, j] - A[:, j].mean(), B[:, j] - B[:, j].mean()
+            expected = (da * db).sum() / math.sqrt((da**2).sum() * (db**2).sum())
+            assert cols[j] == pytest.approx(expected, abs=1e-14)
 
     def test_columns_constant_flagged(self):
         A = np.ones((10, 2))

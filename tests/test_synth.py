@@ -35,6 +35,52 @@ class TestGenerate:
         for ya, yb in zip(a.responses, b.responses):
             assert np.array_equal(ya, yb)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"ar_coef": 0.0}, {"ar_coef": 0.9, "n_samples": 37},
+         {"latent_dims": {"lang": 1, "vis": 7, "shared": 2, "interaction": 3}}],
+    )
+    def test_latents_match_per_latent_recurrence(self, monkeypatch, kw):
+        """The smoothed latents, and the RNG state the features are drawn
+        from, are bit-identical to smoothing each latent in its own loop."""
+        from brainalign import synth
+
+        def reference_ar1(rng, n, d, rho):
+            eps = rng.standard_normal((n, d))
+            if rho > 0:
+                out = np.empty_like(eps)
+                out[0] = eps[0]
+                c = np.sqrt(1.0 - rho * rho)
+                for t in range(1, n):
+                    out[t] = rho * out[t - 1] + c * eps[t]
+            else:
+                out = eps
+            return synth._standardize(out)
+
+        spec = SynthSpec(seed=5, **kw)
+        rng = np.random.default_rng(spec.seed)
+        dims = spec.latent_dims
+        expected = [
+            reference_ar1(rng, spec.n_samples, dims[k], spec.ar_coef)
+            for k in ("lang", "vis", "shared")
+        ]
+        rng.standard_normal((dims["lang"], dims["interaction"]))
+        rng.standard_normal((dims["vis"], dims["interaction"]))
+        expected_state = rng.bit_generator.state
+
+        standardized, mix_states = [], []
+        standardize, mix = synth._standardize, synth._mix
+        monkeypatch.setattr(
+            synth, "_standardize", lambda a: standardized.append(standardize(a)) or standardized[-1]
+        )
+        monkeypatch.setattr(
+            synth, "_mix", lambda r, *a: mix_states.append(r.bit_generator.state) or mix(r, *a)
+        )
+        generate(spec)
+        for got, want in zip(standardized[:3], expected):
+            assert got.tobytes() == want.tobytes()
+        assert mix_states[0] == expected_state
+
     def test_seed_changes_output(self):
         a = generate(SynthSpec(seed=1))
         b = generate(SynthSpec(seed=2))
