@@ -309,11 +309,12 @@ def cmd_contrast(args) -> int:
         cond_b = manifest.condition(args.condition_b)
 
         def load_all(cond):
-            per_subject = []
-            for sub, Y in zip(manifest.subjects, responses):
+            per_subject = [None] * len(manifest.subjects)
+            missing = []
+            for i, sub in enumerate(manifest.subjects):
                 d = fit_root / cond.name / sub.id
                 try:
-                    layers = [
+                    per_subject[i] = [
                         _load_result(d, layer, manifest.significance_alpha)
                         for layer in range(len(cond.layer_files))
                     ]
@@ -322,8 +323,18 @@ def cmd_contrast(args) -> int:
                         raise FileNotFoundError(
                             f"missing fit artifact {exc}; run fit first or pass --refit"
                         ) from exc
-                    [layers] = _fit_condition(manifest, cond, [sub], [Y], args, fit_root)
-                per_subject.append(layers)
+                    missing.append(i)
+            if missing:  # one stacked fit for every subject without artifacts
+                refits = _fit_condition(
+                    manifest,
+                    cond,
+                    [manifest.subjects[i] for i in missing],
+                    [responses[i] for i in missing],
+                    args,
+                    fit_root,
+                )
+                for i, layers in zip(missing, refits):
+                    per_subject[i] = layers
             return per_subject
 
         report = connection_contrast(

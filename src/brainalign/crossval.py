@@ -102,8 +102,10 @@ def select_lambda(
     Inputs are expected already centered/scaled by the caller.
 
     Scoring happens in the SVD basis of each inner training design and
-    never forms ridge weights: memory is one held-out n_te x v block per
-    grid value, not a g x p x v weight tensor.
+    never forms ridge weights or copies the inner training targets: beyond
+    U^T Y_tr and the centred held-out targets, memory is one
+    min(n_te, r) x v block reused for every grid value and a few g x v
+    arrays, not a g x p x v weight tensor.
     """
     grid = np.asarray(lambda_grid, dtype=np.float64)
     mean_scores = _lambda_scores(X, Y, inner_folds, grid)
@@ -119,7 +121,9 @@ def _lambda_scores(X, Y, inner_folds, grid):
     With X_tr = U diag(s) V^T, the held-out prediction for lam is
     (X_te V) diag(s / (s^2 + lam)) (U^T Y_tr). It is linear in X_te V, so
     centring those r columns once centres every lam's prediction, and the
-    held-out targets are centred and normed once per fold.
+    held-out targets are centred and normed once per fold. No n_te x v
+    prediction is formed: the numerators come from one g x v product and the
+    prediction norms from the R factor of the centred X_te V.
     """
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("lambda grid must be nonempty and positive")
@@ -128,26 +132,42 @@ def _lambda_scores(X, Y, inner_folds, grid):
     scores = np.zeros((grid.size, v))
     counts = np.zeros((grid.size, v))
     for fold in range(inner_folds):
-        tr = scheme.train_indices(fold)
         te = scheme.test_indices(fold)
         if te.size < 3:
             raise ValueError("need at least 3 samples in every inner test fold")
-        path = ridge.factor(X[tr])
+        path = ridge.factor(X[scheme.train_indices(fold)])
         s = path.singular_values
-        UtY = path.left_vectors.T @ Y[tr]
-        XV = X[te] @ path.right_vectors
+        # folds are contiguous: rows a:b are held out, and U^T Y_tr is formed
+        # from views of the rows before and after them, not a copy of Y_tr
+        a, b = te[0], te[-1] + 1
+        U = path.left_vectors
+        if a == 0:
+            UtY = U.T @ Y[b:]
+        else:
+            UtY = U[:a].T @ Y[:a]
+            if b < Y.shape[0]:
+                UtY += U[a:].T @ Y[b:]
+        XV = X[a:b] @ path.right_vectors
         XV -= XV.mean(axis=0)
-        Yc = Y[te]
-        Yc -= Yc.mean(axis=0)
+        Yc = Y[a:b] - Y[a:b].mean(axis=0)
         y_norm = np.sqrt(np.einsum("ij,ij->j", Yc, Yc))
-        for gi, lam in enumerate(grid):
-            pred = (XV * (s / (s**2 + lam))) @ UtY
-            denom = np.sqrt(np.einsum("ij,ij->j", pred, pred)) * y_norm
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r = np.einsum("ij,ij->j", pred, Yc) / denom
-            ok = (denom != 0.0) & ~np.isnan(r)
-            scores[gi, ok] += r[ok]
-            counts[gi, ok] += 1
+        # lam's prediction is XV diag(d) U^T Y_tr with d = s / (s^2 + lam): the
+        # numerators for every lam are one g x r by r x v product, and with
+        # XV = QR each norm ||XV z|| = ||R z|| comes from at most r rows
+        d = s / (s**2 + grid[:, None])
+        num = d @ (UtY * (XV.T @ Yc))
+        R = np.linalg.qr(XV, mode="r")
+        pred = np.empty((R.shape[0], v))
+        sq_norm = np.empty((grid.size, v))
+        for gi in range(grid.size):
+            np.matmul(R * d[gi], UtY, out=pred)
+            np.einsum("ij,ij->j", pred, pred, out=sq_norm[gi])
+        denom = np.sqrt(sq_norm) * y_norm
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = num / denom
+        ok = (denom != 0.0) & ~np.isnan(r)
+        scores += np.where(ok, r, 0.0)
+        counts += ok
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_scores = scores / counts
     mean_scores[counts == 0] = -np.inf
@@ -168,18 +188,18 @@ def fit_fold(
     Returns (predictions, selected lambdas, weights).
     """
     xm, xs, _ = _train_stats(X[train_idx])
-    ym, ys, _ = _train_stats(Y[train_idx])
     Xtr = (X[train_idx] - xm) / xs
-    Ytr = (Y[train_idx] - ym) / ys
     Xte = (X[test_idx] - xm) / xs
+    Ytr = Y[train_idx]  # the one copy of the training targets, z-scored in place
+    ym, ys, _ = _train_stats(Ytr)
+    Ytr -= ym
+    Ytr /= ys
 
     lam_sel = select_lambda(Xtr, Ytr, inner_folds, lambda_grid)
-    path = ridge.factor(Xtr)
-    W = np.empty((X.shape[1], Y.shape[1]))
-    for lam in np.unique(lam_sel):
-        cols = lam_sel == lam
-        W[:, cols] = ridge.solve(path, Ytr[:, cols], float(lam))
-    pred = (Xte @ W) * ys + ym
+    W = ridge.solve(ridge.factor(Xtr), Ytr, lam_sel)
+    pred = Xte @ W
+    pred *= ys
+    pred += ym
     return pred, lam_sel, W
 
 

@@ -10,10 +10,14 @@ which equals the normal-equations solution (X^T X + lam I)^-1 X^T Y
 restricted to the retained rank.
 
 Choosing lam (``crossval.select_lambda``) stays in this basis and forms no
-weights: a held-out prediction is (X_te V) diag(s / (s^2 + lam)) (U^T Y),
-so scoring a grid of g values costs one n_te x v prediction block per
-value instead of a g x p x v weight tensor. ``solve_path`` builds that
-tensor and has no caller in the package.
+weights: a held-out prediction is (X_te V) diag(s / (s^2 + lam)) (U^T Y).
+Its inner products with the held-out targets, for every lam at once, are
+one g x r by r x v product, and its column norms equal those of
+R diag(...) (U^T Y), with R the min(n_te, r) x r triangular factor of the
+centred X_te V. Scoring a grid of g values therefore holds one
+min(n_te, r) x v block, reused for every value, instead of a g x p x v
+weight tensor. ``solve_path`` builds that tensor and has no caller in the
+package.
 """
 
 from __future__ import annotations
@@ -66,13 +70,20 @@ def factor(X: np.ndarray) -> RidgePath:
     )
 
 
-def solve(path: RidgePath, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge weights W(lam), shape p-by-v, for targets Y (n-by-v)."""
-    if lam <= 0:
+def solve(path: RidgePath, Y: np.ndarray, lam) -> np.ndarray:
+    """Ridge weights W(lam), shape p-by-v, for targets Y (n-by-v).
+
+    ``lam`` is one value for every column, or a length-v vector giving
+    column j its own value lam[j]."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if np.any(lam <= 0):
         raise ValueError("lam must be > 0; use solve_lstsq for the unpenalized fit")
     UtY = _project(path, Y)
-    shrink = path.singular_values / (path.singular_values**2 + lam)
-    return path.right_vectors @ (shrink[:, None] * UtY)
+    s = path.singular_values[:, None]
+    if lam.ndim != 0 and lam.shape != (UtY.shape[1],):
+        raise ValueError(f"lam has shape {lam.shape}, expected () or ({UtY.shape[1]},)")
+    UtY *= s / (s**2 + lam)
+    return path.right_vectors @ UtY
 
 
 def solve_lstsq(path: RidgePath, Y: np.ndarray) -> np.ndarray:

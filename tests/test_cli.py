@@ -397,6 +397,23 @@ class TestStackedFit:
         # 3 response files and one layer file for each of 4 conditions
         assert len(reads) == 7 and len(set(reads)) == 7
 
+    def test_refit_fits_missing_subjects_together(self, tmp_path, monkeypatch):
+        from brainalign import cli, ridge
+
+        manifest = _synth(tmp_path / "data", n_subjects=4)
+        calls, reads = [], []
+        factor, read = ridge.factor, cli.read_matrix
+        monkeypatch.setattr(ridge, "factor", lambda X: calls.append(X.shape) or factor(X))
+        monkeypatch.setattr(cli, "read_matrix", lambda p, **kw: reads.append(p) or read(p, **kw))
+        argv = ["contrast", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                "--mode", "connection", "--condition-a", "joint", "--condition-b", "lang_only",
+                "--refit"]
+        assert main(argv) == EXIT_OK
+        # 2 conditions x 6 outer folds x (5 inner SVDs + 1 final), for all 4 subjects
+        assert len(calls) == 72
+        # 4 response files and one layer file per condition
+        assert len(reads) == 6 and len(set(reads)) == 6
+
     @pytest.mark.parametrize("trmap", [False, True])
     def test_matches_per_subject_fits_with_bh_per_subject(self, tmp_path, trmap):
         from brainalign.crossval import fit_encoding, make_folds

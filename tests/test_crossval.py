@@ -319,6 +319,65 @@ class TestSelectLambda:
         assert peak < weight_tensor
 
 
+def _reference_fit_fold(X, Y, train_idx, test_idx, inner_folds, grid):
+    """The fold kernel with explicit-weight λ scoring and one ridge.solve per
+    distinct selected λ, on boolean column copies of the training targets."""
+    xm, xs, _ = crossval._train_stats(X[train_idx])
+    ym, ys, _ = crossval._train_stats(Y[train_idx])
+    Xtr = (X[train_idx] - xm) / xs
+    Ytr = (Y[train_idx] - ym) / ys
+    Xte = (X[test_idx] - xm) / xs
+    lam_sel = _reference_select(_reference_lambda_scores(Xtr, Ytr, inner_folds, grid)[0], grid)
+    path = ridge.factor(Xtr)
+    W = np.empty((X.shape[1], Y.shape[1]))
+    for lam in np.unique(lam_sel):
+        cols = lam_sel == lam
+        W[:, cols] = ridge.solve(path, Ytr[:, cols], float(lam))
+    return (Xte @ W) * ys + ym, lam_sel, W
+
+
+class TestFitFold:
+    GRID = DEFAULT_LAMBDA_GRID
+    INNER = 5
+
+    @staticmethod
+    def _data(kind, seed):
+        rng = np.random.default_rng(seed)
+        X = _design(kind, rng)
+        n = X.shape[0]
+        Y = X @ rng.standard_normal((X.shape[1], 5)) + rng.standard_normal((n, 5))
+        Y = np.hstack([3.0 + 2.0 * Y, rng.standard_normal((n, 4)), np.ones((n, 1))])
+        return X, Y  # signal, noise and one constant column
+
+    @pytest.mark.parametrize("kind", ["p<n", "p>n", "rank-deficient"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_per_lambda_solve(self, kind, seed):
+        X, Y = self._data(kind, seed)
+        scheme = make_folds(X.shape[0], 4)
+        selected = set()
+        for fold in range(scheme.n_folds):
+            tr, te = scheme.train_indices(fold), scheme.test_indices(fold)
+            pred, lam, W = crossval.fit_fold(X, Y, tr, te, self.INNER, self.GRID)
+            ref_pred, ref_lam, ref_W = _reference_fit_fold(X, Y, tr, te, self.INNER, self.GRID)
+            assert np.array_equal(lam, ref_lam)
+            np.testing.assert_allclose(W, ref_W, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pred, ref_pred, rtol=0, atol=1e-12)
+            assert lam[-1] == self.GRID[-1] and not W[:, -1].any()
+            selected.update(lam[:-1].tolist())
+        assert len(selected) > 1  # the solve really shrinks columns differently
+
+    def test_inputs_unchanged(self):
+        X, Y = self._data("p<n", 0)
+        X0, Y0 = X.copy(), Y.copy()
+        scheme = make_folds(X.shape[0], 4)
+        select_lambda(X, Y, self.INNER, self.GRID)
+        for fold in range(scheme.n_folds):
+            crossval.fit_fold(
+                X, Y, scheme.train_indices(fold), scheme.test_indices(fold), self.INNER, self.GRID
+            )
+        assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+
+
 class TestFoldTtestPvalues:
     @staticmethod
     def _reference(col, test_to_train):

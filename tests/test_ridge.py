@@ -112,6 +112,42 @@ class TestSolve:
             assert np.array_equal(stacked[i], solve(path, Y, lam))
 
 
+class TestSolveLambdaVector:
+    @pytest.mark.parametrize("shape", [(50, 8), (20, 40)])  # p < n, and p > n
+    def test_each_column_matches_scalar_solve(self, shape):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal(shape)
+        Y = rng.standard_normal((shape[0], 7))
+        lam = np.array([0.1, 1e8, 3.0, 0.1, 1e3, 3.0, 42.0])
+        path = factor(X)
+        W = solve(path, Y, lam)
+        assert W.shape == (shape[1], 7)
+        for j in range(7):
+            single = solve(path, Y[:, j], float(lam[j]))[:, 0]
+            np.testing.assert_allclose(W[:, j], single, rtol=0, atol=1e-13)
+
+    def test_constant_vector_equals_scalar(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((40, 12))
+        Y = rng.standard_normal((40, 5))
+        path = factor(X)
+        np.testing.assert_allclose(
+            solve(path, Y, np.full(5, 7.5)), solve(path, Y, 7.5), rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_entry_rejected(self, bad):
+        path = factor(np.eye(3))
+        with pytest.raises(ValueError, match="lam must be > 0"):
+            solve(path, np.ones((3, 3)), np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_length_must_match_columns(self, size):
+        path = factor(np.eye(3))
+        with pytest.raises(ValueError, match="lam has shape"):
+            solve(path, np.ones((3, 3)), np.ones(size))
+
+
 class TestLstsq:
     def test_full_rank_projection(self):
         rng = np.random.default_rng(8)
