@@ -77,12 +77,20 @@ class EncodingResult:
 
 
 def _train_stats(arr: np.ndarray):
-    """Per-column mean/scale from training rows; constant columns get
-    scale 1 and are flagged."""
+    """Z-score the training rows ``arr`` (a copy the caller owns) in place
+    and return their per-column mean and scale; constant columns get scale
+    1 and are flagged.
+
+    The scale matches ``arr.std(axis=0)`` bit for bit (the tests check it)
+    but is taken from the centred rows, so no temporary of ``arr``'s size
+    is allocated.
+    """
     mean = arr.mean(axis=0)
-    scale = arr.std(axis=0)
+    arr -= mean
+    scale = np.sqrt(np.einsum("ij,ij->j", arr, arr) / arr.shape[0])
     flagged = scale == 0.0
-    scale = np.where(flagged, 1.0, scale)
+    scale[flagged] = 1.0
+    arr /= scale
     return mean, scale, flagged
 
 
@@ -101,11 +109,13 @@ def select_lambda(
     finite score at all gets the largest value.
     Inputs are expected already centered/scaled by the caller.
 
-    Scoring happens in the SVD basis of each inner training design and
-    never forms ridge weights or copies the inner training targets: beyond
-    U^T Y_tr and the centred held-out targets, memory is one
-    min(n_te, r) x v block reused for every grid value and a few g x v
-    arrays, not a g x p x v weight tensor.
+    Scoring happens in the eigenbasis of each inner training design's
+    smaller Gram matrix (``ridge.factor_gram``), which is faster than its
+    SVD and selected what the SVD selects in every case measured; the final
+    fit stays on the SVD. It never forms ridge weights or copies the inner
+    training targets: beyond U^T Y_tr and the centred held-out targets,
+    memory is one min(n_te, r) x v block reused for every grid value and a
+    few g x v arrays, not a g x p x v weight tensor.
     """
     grid = np.asarray(lambda_grid, dtype=np.float64)
     mean_scores = _lambda_scores(X, Y, inner_folds, grid)
@@ -118,7 +128,8 @@ def _lambda_scores(X, Y, inner_folds, grid):
     """Mean inner-held-out correlation per grid value and column, g x v;
     -inf where no fold gives a finite score.
 
-    With X_tr = U diag(s) V^T, the held-out prediction for lam is
+    With X_tr = U diag(s) V^T, taken from the smaller Gram matrix of X_tr
+    (``ridge.factor_gram``), the held-out prediction for lam is
     (X_te V) diag(s / (s^2 + lam)) (U^T Y_tr). It is linear in X_te V, so
     centring those r columns once centres every lam's prediction, and the
     held-out targets are centred and normed once per fold. No n_te x v
@@ -135,7 +146,7 @@ def _lambda_scores(X, Y, inner_folds, grid):
         te = scheme.test_indices(fold)
         if te.size < 3:
             raise ValueError("need at least 3 samples in every inner test fold")
-        path = ridge.factor(X[scheme.train_indices(fold)])
+        path = ridge.factor_gram(X[scheme.train_indices(fold)])
         s = path.singular_values
         # folds are contiguous: rows a:b are held out, and U^T Y_tr is formed
         # from views of the rows before and after them, not a copy of Y_tr
@@ -187,13 +198,11 @@ def fit_fold(
 
     Returns (predictions, selected lambdas, weights).
     """
-    xm, xs, _ = _train_stats(X[train_idx])
-    Xtr = (X[train_idx] - xm) / xs
+    Xtr = X[train_idx]
+    xm, xs, _ = _train_stats(Xtr)
     Xte = (X[test_idx] - xm) / xs
-    Ytr = Y[train_idx]  # the one copy of the training targets, z-scored in place
+    Ytr = Y[train_idx]  # the one copy of the training targets
     ym, ys, _ = _train_stats(Ytr)
-    Ytr -= ym
-    Ytr /= ys
 
     lam_sel = select_lambda(Xtr, Ytr, inner_folds, lambda_grid)
     W = ridge.solve(ridge.factor(Xtr), Ytr, lam_sel)

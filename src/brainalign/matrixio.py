@@ -62,7 +62,7 @@ def write_matrix(m: np.ndarray, path) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload.tobytes())
+            fh.write(memoryview(payload))  # the array's own buffer, not a copy
     except OSError as exc:
         raise OSError(f"failed to write matrix to {path}: {exc}") from exc
 

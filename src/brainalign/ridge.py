@@ -18,6 +18,16 @@ centred X_te V. Scoring a grid of g values therefore holds one
 min(n_te, r) x v block, reused for every value, instead of a g x p x v
 weight tensor. ``solve_path`` builds that tensor and has no caller in the
 package.
+
+Each inner training design of that search is factored by ``factor_gram``,
+from the eigendecomposition of the smaller Gram matrix (X^T X or X X^T).
+That is faster than the SVD: 2.6x on a 400 x 512 design and 1.6x on an
+80 x 24 one, with 2-core OpenBLAS. Squaring the design halves the digits
+left for small singular values, so its scores differ from the SVD's by up
+to about 1e-11 on ill-conditioned designs. No measured case changed the
+argmax over the grid, but reported numbers would move by as much. Every
+weight, prediction and correlation a caller sees therefore comes from
+``factor``, the SVD.
 """
 
 from __future__ import annotations
@@ -35,7 +45,9 @@ class DegenerateDesignError(ValueError):
 
 @dataclass(frozen=True)
 class RidgePath:
-    """Immutable thin SVD of a training design, shared across solves."""
+    """Immutable thin factorization U diag(s) V^T of a training design,
+    shared across solves: the SVD from ``factor``, or for choosing lam the
+    Gram-matrix route of ``factor_gram``."""
 
     left_vectors: np.ndarray  # n x r
     singular_values: np.ndarray  # r, non-increasing, positive
@@ -47,9 +59,7 @@ class RidgePath:
         return self.singular_values.size
 
 
-def factor(X: np.ndarray) -> RidgePath:
-    """Thin SVD of the n-by-p design, truncating singular values below
-    ``RANK_TRUNCATION_REL`` times the largest."""
+def _checked_design(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"design must be 2-D, got shape {X.shape}")
@@ -58,6 +68,14 @@ def factor(X: np.ndarray) -> RidgePath:
         raise ValueError(f"need n >= 2 and p >= 1, got {n}x{p}")
     if not np.all(np.isfinite(X)):
         raise ValueError("design contains non-finite values")
+    return X
+
+
+def factor(X: np.ndarray) -> RidgePath:
+    """Thin SVD of the n-by-p design, truncating singular values below
+    ``RANK_TRUNCATION_REL`` times the largest."""
+    X = _checked_design(X)
+    n = X.shape[0]
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     if s[0] == 0.0:
         raise DegenerateDesignError("degenerate design: all singular values zero")
@@ -66,6 +84,41 @@ def factor(X: np.ndarray) -> RidgePath:
         left_vectors=np.ascontiguousarray(U[:, keep]),
         singular_values=np.ascontiguousarray(s[keep]),
         right_vectors=np.ascontiguousarray(Vt[keep].T),
+        training_row_count=n,
+    )
+
+
+def factor_gram(X: np.ndarray) -> RidgePath:
+    """The factorization of :func:`factor`, taken from the eigendecomposition
+    of the smaller Gram matrix; for choosing lam only.
+
+    With s = sqrt(w): for p <= n, X^T X = V diag(w) V^T and U = X V / s;
+    for p > n, X X^T = U diag(w) U^T and V = X^T U / s. This is faster
+    than the SVD, but the Gram matrix only resolves w down to about
+    max(n, p) * eps * w_max, so eigenvalues at or below that are dropped,
+    where ``factor`` keeps singular values down to ``RANK_TRUNCATION_REL``
+    * s_max. Raises what ``factor`` raises on the same input.
+    """
+    X = _checked_design(X)
+    n, p = X.shape
+    top = np.abs(X).max()
+    if top == 0.0:
+        raise DegenerateDesignError("degenerate design: all singular values zero")
+    # scaling by a power of two is exact and keeps the Gram matrix from
+    # overflowing or underflowing where the design itself does not
+    exp = np.frexp(top)[1]
+    X = np.ldexp(X, -exp)
+    wide = p > n
+    w, Q = np.linalg.eigh(X @ X.T if wide else X.T @ X)
+    keep = w > max(n, p) * np.finfo(np.float64).eps * w[-1]
+    w, Q = w[keep][::-1], Q[:, keep][:, ::-1]
+    s = np.sqrt(w)
+    other = (X.T @ Q if wide else X @ Q) / s
+    U, V = (Q, other) if wide else (other, Q)
+    return RidgePath(
+        left_vectors=np.ascontiguousarray(U),
+        singular_values=np.ldexp(s, exp),
+        right_vectors=np.ascontiguousarray(V),
         training_row_count=n,
     )
 

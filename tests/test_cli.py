@@ -1,3 +1,4 @@
+import collections
 import filecmp
 import json
 import shutil
@@ -370,21 +371,30 @@ def _assert_same_fit(got, want):
             np.testing.assert_allclose(got[name], arr, rtol=0, atol=1e-12, err_msg=name)
 
 
+def _count_factorizations(monkeypatch):
+    """Count ridge.factor (SVD) and ridge.factor_gram calls from now on."""
+    from brainalign import ridge
+
+    calls = collections.Counter()
+    for name, key in (("factor", "svd"), ("factor_gram", "gram")):
+        fn = getattr(ridge, name)
+        monkeypatch.setattr(
+            ridge, name, lambda X, fn=fn, key=key: calls.update([key]) or fn(X)
+        )
+    return calls
+
+
 class TestStackedFit:
     def test_factor_count_does_not_depend_on_subjects(self, tmp_path, monkeypatch):
-        from brainalign import ridge
-
-        calls = []
-        factor = ridge.factor
-        monkeypatch.setattr(ridge, "factor", lambda X: calls.append(X.shape) or factor(X))
+        calls = _count_factorizations(monkeypatch)
         counts = []
         for n_subjects in (2, 4):
             manifest = _synth(tmp_path / f"d{n_subjects}", n_subjects=n_subjects)
             calls.clear()
             assert main(["fit", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == EXIT_OK
-            counts.append(len(calls))
-        # 4 conditions x 6 outer folds x (5 inner SVDs + 1 final)
-        assert counts == [144, 144]
+            counts.append(dict(calls))
+        # 4 conditions x 6 outer folds x (1 final SVD, 5 inner Gram factorizations)
+        assert counts == [{"svd": 24, "gram": 120}] * 2
 
     def test_each_input_file_read_once(self, dataset, tmp_path, monkeypatch):
         from brainalign import cli
@@ -398,19 +408,20 @@ class TestStackedFit:
         assert len(reads) == 7 and len(set(reads)) == 7
 
     def test_refit_fits_missing_subjects_together(self, tmp_path, monkeypatch):
-        from brainalign import cli, ridge
+        from brainalign import cli
 
         manifest = _synth(tmp_path / "data", n_subjects=4)
-        calls, reads = [], []
-        factor, read = ridge.factor, cli.read_matrix
-        monkeypatch.setattr(ridge, "factor", lambda X: calls.append(X.shape) or factor(X))
+        calls = _count_factorizations(monkeypatch)
+        reads = []
+        read = cli.read_matrix
         monkeypatch.setattr(cli, "read_matrix", lambda p, **kw: reads.append(p) or read(p, **kw))
         argv = ["contrast", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
                 "--mode", "connection", "--condition-a", "joint", "--condition-b", "lang_only",
                 "--refit"]
         assert main(argv) == EXIT_OK
-        # 2 conditions x 6 outer folds x (5 inner SVDs + 1 final), for all 4 subjects
-        assert len(calls) == 72
+        # 2 conditions x 6 outer folds x (1 final SVD, 5 inner Gram factorizations),
+        # for all 4 subjects
+        assert calls == {"svd": 12, "gram": 60}
         # 4 response files and one layer file per condition
         assert len(reads) == 6 and len(set(reads)) == 6
 

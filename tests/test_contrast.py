@@ -1,3 +1,4 @@
+import collections
 import warnings
 
 import numpy as np
@@ -251,11 +252,14 @@ class TestInteractionContrast:
 
     def test_factor_count_does_not_depend_on_subjects(self, monkeypatch):
         data = generate(SynthSpec(seed=21))
-        factor = ridge.factor
+        factor, factor_gram = ridge.factor, ridge.factor_gram
         counts = []
         for n_sub in (2, 4):
-            calls = []
-            monkeypatch.setattr(ridge, "factor", lambda X: calls.append(1) or factor(X))
+            calls = collections.Counter()
+            monkeypatch.setattr(ridge, "factor", lambda X: calls.update(["svd"]) or factor(X))
+            monkeypatch.setattr(
+                ridge, "factor_gram", lambda X: calls.update(["gram"]) or factor_gram(X)
+            )
             interaction_contrast(
                 [data.features["joint"]],
                 data.features["lang_only"],
@@ -266,9 +270,10 @@ class TestInteractionContrast:
                 lambda_grid=GRID,
                 n_baseline=3,
             )
-            counts.append(len(calls))
-        # one residualization plus 1 + 3 designs, each 6 outer x (5 inner + 1) SVDs
-        assert counts == [36 * 5, 36 * 5]
+            counts.append(calls)
+        # one residualization plus 1 + 3 designs, each 6 outer x (1 final SVD
+        # + 5 inner Gram factorizations)
+        assert counts == [{"svd": 6 * 5, "gram": 30 * 5}] * 2
 
     def test_subjects_of_unequal_width(self):
         data = generate(SynthSpec(seed=21))

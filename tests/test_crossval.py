@@ -319,6 +319,57 @@ class TestSelectLambda:
         assert peak < weight_tensor
 
 
+def _svd_lambda_scores(X, Y, inner_folds, grid):
+    """The scoring with every inner design factored by the SVD, as the final
+    fits are."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ridge, "factor_gram", ridge.factor)
+        return _lambda_scores(X, Y, inner_folds, grid)
+
+
+class TestGramScoring:
+    GRID = DEFAULT_LAMBDA_GRID
+    INNER = 5
+
+    @pytest.mark.parametrize("kind", ["p<n", "p>n", "rank-deficient", "low-rank+noise"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_svd_route(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "low-rank+noise":
+            X = rng.standard_normal((100, 5)) @ rng.standard_normal((5, 300))
+            X += 1e-3 * rng.standard_normal(X.shape)
+        else:
+            X = _design(kind, rng)
+        n = X.shape[0]
+        Y = X @ rng.standard_normal((X.shape[1], 5)) + rng.standard_normal((n, 5))
+        Y = np.hstack([Y, rng.standard_normal((n, 4)), np.ones((n, 1))])
+        got = _lambda_scores(X, Y, self.INNER, self.GRID)
+        ref = _svd_lambda_scores(X, Y, self.INNER, self.GRID)
+        assert np.isneginf(ref[:, -1]).all() and np.isfinite(ref[:, :-1]).all()
+        assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+        assert np.abs(got[:, :-1] - ref[:, :-1]).max() <= 1e-10
+        assert np.array_equal(
+            select_lambda(X, Y, self.INNER, self.GRID), _reference_select(ref, self.GRID)
+        )
+
+
+class TestTrainStats:
+    @pytest.mark.parametrize(
+        "shape", [(250, 20000), (500, 4000), (100, 128), (100, 6), (101, 7)]
+    )
+    def test_scale_is_numpy_std_bits(self, shape):
+        rng = np.random.default_rng(shape[1])
+        arr = 4.0 + 3.0 * rng.standard_normal(shape)
+        arr[:, 1] = 0.25  # constant
+        mean, std = arr.mean(axis=0), arr.std(axis=0)
+        work = arr.copy()
+        got_mean, scale, flagged = crossval._train_stats(work)
+        assert np.array_equal(got_mean, mean)
+        assert np.array_equal(flagged, std == 0.0) and flagged[1] and flagged.sum() == 1
+        assert np.array_equal(scale, np.where(flagged, 1.0, std))
+        assert np.array_equal(work, (arr - mean) / scale)
+
+
 def _reference_fit_fold(X, Y, train_idx, test_idx, inner_folds, grid):
     """The fold kernel with explicit-weight λ scoring and one ridge.solve per
     distinct selected λ, on boolean column copies of the training targets."""

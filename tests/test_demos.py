@@ -27,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("brainalign_demo_*")), "demo left its temp dir behind"

@@ -50,6 +50,24 @@ class TestRoundTrip:
         assert back.dtype == np.float64
         assert np.array_equal(back, m.astype(np.float64))
 
+    @pytest.mark.parametrize(
+        "m, dtype",
+        [
+            (np.random.default_rng(2).standard_normal((7, 5)), "<f8"),
+            (np.random.default_rng(3).standard_normal((7, 5)).astype(np.float32), "<f4"),
+            (np.random.default_rng(4).standard_normal((9, 8))[::2, 1::3], "<f8"),  # strided
+            (np.arange(-6, 6).reshape(3, 4), "<f8"),  # int, promoted
+        ],
+        ids=["f64", "f32", "non-contiguous", "int"],
+    )
+    def test_bytes_are_header_then_contiguous_payload(self, tmp_path, m, dtype):
+        p = tmp_path / "m.eamx"
+        write_matrix(m, p)
+        code = 0 if dtype == "<f4" else 1
+        header = b"EAMX" + bytes([1, code]) + b"\x00\x00"
+        header += m.shape[0].to_bytes(8, "little") + m.shape[1].to_bytes(8, "little")
+        assert p.read_bytes() == header + np.ascontiguousarray(m, dtype=dtype).tobytes()
+
     def test_endianness_explicit(self, tmp_path):
         # a hand-built little-endian file loads identically everywhere
         p = tmp_path / "hand.eamx"

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from brainalign.ridge import (
     DegenerateDesignError,
     factor,
+    factor_gram,
     predict,
     solve,
     solve_lstsq,
@@ -51,6 +54,57 @@ class TestFactor:
         path = factor(rng.standard_normal((30, 10)))
         s = path.singular_values
         assert (np.diff(s) <= 0).all() and (s > 0).all()
+
+
+class TestFactorGram:
+    @pytest.mark.parametrize("shape", [(60, 8), (40, 80), (30, 30)], ids=["p<n", "p>n", "p=n"])
+    def test_matches_svd(self, shape):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal(shape)
+        Y = rng.standard_normal((shape[0], 3))
+        got, want = factor_gram(X), factor(X)
+        s = got.singular_values
+        assert got.rank == want.rank and (np.diff(s) <= 0).all() and (s > 0).all()
+        np.testing.assert_allclose(s, want.singular_values, rtol=1e-10)
+        U, V = got.left_vectors, got.right_vectors
+        np.testing.assert_allclose(U.T @ U, np.eye(got.rank), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(V.T @ V, np.eye(got.rank), rtol=0, atol=1e-10)
+        np.testing.assert_allclose((U * s) @ V.T, X, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(solve(got, Y, 1.0), solve(want, Y, 1.0), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["p<n", "p>n"])
+    def test_rank_deficient_truncates(self, transpose):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 10))
+        X[:, 9] = X[:, 0]
+        assert factor_gram(X.T if transpose else X).rank == 3
+
+    @pytest.mark.parametrize("exp", [600, -600])
+    def test_gram_of_extreme_scale_neither_overflows_nor_underflows(self, exp):
+        X = np.random.default_rng(8).standard_normal((40, 60))
+        got = factor_gram(np.ldexp(X, exp))
+        np.testing.assert_allclose(
+            got.singular_values, np.ldexp(factor(X).singular_values, exp), rtol=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.array([[1.0, 2.0], [np.inf, 0.0], [3.0, 4.0]]),
+            np.array([[1.0, np.nan, 2.0], [0.0, 1.0, 2.0]]),
+            np.zeros((4, 3)),
+            np.zeros((3, 5)),
+            np.ones(4),
+            np.ones((1, 3)),
+            np.ones((3, 0)),
+        ],
+        ids=["inf", "nan", "zero p<n", "zero p>n", "1-D", "one row", "no columns"],
+    )
+    def test_raises_what_factor_raises(self, X):
+        with pytest.raises(ValueError) as want:
+            factor(X)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            factor_gram(X)
 
 
 class TestSolve:
