@@ -16,7 +16,7 @@ from brainalign.matrixio import (
     MatrixValidationError,
     ManifestError,
 )
-from brainalign.ridge import RidgePath, factor, solve, solve_lstsq, predict
+from brainalign.ridge import RidgePath, factor, solve, solve_lstsq
 from brainalign.crossval import (
     FoldScheme,
     EncodingResult,

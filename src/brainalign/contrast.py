@@ -10,6 +10,11 @@ Interaction contrast: does the residual of the joint features, after
 removing everything the unimodal features linearly explain, still predict
 responses above a matched random baseline pushed through the identical
 pipeline?
+
+Both contrasts fill one array of region scores -- per arm (condition or
+baseline draw), layer, subject and region, where the regions are each ROI
+and then the union of all ROIs -- and build their ROI and layer rows from
+it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from brainalign.crossval import (
     DEFAULT_LAMBDA_GRID,
     EncodingResult,
     FoldScheme,
+    _valid_mean,
     fit_encoding,
 )
 from brainalign.residual import remove_information
@@ -59,33 +65,33 @@ class ContrastReport:
         writer.writerow(
             ["kind", "name", "mean_A", "mean_B", "diff", "statistic", "p_value", "n"]
         )
-        for row in self.roi_rows:
-            writer.writerow(
-                [
-                    "roi",
-                    row["roi_name"],
-                    row["mean_A"],
-                    row["mean_B"],
-                    row["diff"],
-                    row["paired_t"],
-                    row["p_value"],
-                    row["n_subjects"],
-                ]
-            )
-        for row in self.layerwise:
-            writer.writerow(
-                [
-                    "layer",
-                    row["layer"],
-                    row["mean_A"],
-                    row["mean_B"],
-                    row["diff"],
-                    row.get("statistic", float("nan")),
-                    row["p_value"],
-                    row.get("n_subjects", 0),
-                ]
-            )
+        for kind, rows in (("roi", self.roi_rows), ("layer", self.layerwise)):
+            name_key, stat_key = _ROW_KEYS[kind]
+            for row in rows:
+                writer.writerow(
+                    [kind, row[name_key], row["mean_A"], row["mean_B"], row["diff"],
+                     row[stat_key], row["p_value"], row["n_subjects"]]
+                )
         return buf.getvalue()
+
+
+# per row kind: the keys of the row's name and of its test statistic
+_ROW_KEYS = {"roi": ("roi_name", "paired_t"), "layer": ("layer", "statistic")}
+
+
+def _row(kind: str, name, mean_a, mean_b, stat, p, n, **extra) -> dict:
+    """One report row; ``extra`` keys follow the common ones."""
+    name_key, stat_key = _ROW_KEYS[kind]
+    return {
+        name_key: name,
+        "mean_A": mean_a,
+        "mean_B": mean_b,
+        "diff": mean_a - mean_b,
+        stat_key: stat,
+        "p_value": p,
+        "n_subjects": n,
+        **extra,
+    }
 
 
 def union_mask(results: list[EncodingResult]) -> np.ndarray:
@@ -113,27 +119,39 @@ def roi_score(mean_correlation: np.ndarray, mask, atlas: dict, roi_name: str) ->
     return _valid_mean(mean_correlation[idx])
 
 
-def _valid_mean(vals: np.ndarray) -> float:
-    """Mean of the non-NaN values; NaN when there are none."""
-    vals = vals[~np.isnan(vals)]
-    return float(vals.mean()) if vals.size else float("nan")
+def _roi_names(atlases: list[dict]) -> list[str]:
+    """The ROI names every subject's atlas shares, in the first atlas's order."""
+    names = list(atlases[0])
+    for s, atlas in enumerate(atlases[1:], start=1):
+        if set(atlas) != set(names):
+            raise ValueError(
+                f"subject {s} has ROIs {sorted(atlas)}, subject 0 has {sorted(names)}; "
+                "every subject must name the same ROIs"
+            )
+    return names
 
 
-def _roi_union(atlas: dict, rois: list[str]) -> np.ndarray:
-    """Sorted voxel indices in any of ``rois``; independent of ROI order."""
-    return np.unique(np.concatenate([atlas[r] for r in rois]))
+def _regions(atlas: dict, roi_names: list[str], mask=None) -> list[np.ndarray]:
+    """Voxel indices of each ROI, then of the union of all ROIs (sorted, so
+    independent of ROI order), each restricted to ``mask`` when given."""
+    regions = [np.asarray(atlas[r], dtype=np.int64) for r in roi_names]
+    regions.append(np.unique(np.concatenate(regions)))
+    if mask is not None:
+        regions = [idx[mask[idx]] for idx in regions]
+    return regions
 
 
-def _paired_row(a: np.ndarray, b: np.ndarray, tail: str):
-    """Paired test over subjects; degenerate (zero-variance) pairs are
-    flagged with NaN statistics rather than raised."""
+def _paired_row(a: np.ndarray, b: np.ndarray):
+    """Two-sided paired test over subjects with both scores; degenerate
+    (zero-variance) pairs are flagged with NaN statistics rather than
+    raised. Returns mean_a, mean_b, statistic, p-value and n."""
     ok = ~(np.isnan(a) | np.isnan(b))
     a, b = a[ok], b[ok]
     n = a.size
     stat, p = float("nan"), float("nan")
     if n >= 3:
         try:
-            res = paired_ttest(a, b, tail=tail)
+            res = paired_ttest(a, b, tail="two_sided")
             stat, p = res.statistic, res.p_value
         except ZeroVarianceError:
             pass
@@ -157,7 +175,8 @@ def connection_contrast(
     masks. Per-ROI condition scores pool layers by averaging the per-layer
     ROI scores; group inference is a two-sided paired t-test across
     subjects. Subjects with an empty ROI-mask intersection are excluded
-    from that ROI's row and counted.
+    from that ROI's row and counted. The per-layer rows score the union
+    of every ROI's voxels within the same selection.
     """
     n_sub = len(joint_results)
     if n_sub == 0 or len(ablated_results) != n_sub or len(atlases) != n_sub:
@@ -166,69 +185,30 @@ def connection_contrast(
     for jr, ar in zip(joint_results, ablated_results):
         if len(jr) != n_layers or len(ar) != n_layers:
             raise ValueError("all subjects must have the same layer count")
+    roi_names = _roi_names(atlases)
 
-    masks = [union_mask(jr) for jr in joint_results]
-    roi_names = list(atlases[0].keys())
+    # scores[condition, layer, subject, region]; the last region is the union
+    scores = np.empty((2, n_layers, n_sub, len(roi_names) + 1))
+    for s, atlas in enumerate(atlases):
+        regions = _regions(atlas, roi_names, mask=union_mask(joint_results[s]))
+        for c, results in enumerate((joint_results, ablated_results)):
+            for layer, res in enumerate(results[s]):
+                scores[c, layer, s] = [_valid_mean(res.mean_correlation[idx]) for idx in regions]
 
     report = ContrastReport(
         mode="connection",
         voxel_selection=f"union-of-significant-voxels({condition_a})",
     )
-
-    for roi in roi_names:
-        a = np.full(n_sub, np.nan)
-        b = np.full(n_sub, np.nan)
-        for s in range(n_sub):
-            la = [roi_score(r.mean_correlation, masks[s], atlases[s], roi) for r in joint_results[s]]
-            lb = [roi_score(r.mean_correlation, masks[s], atlases[s], roi) for r in ablated_results[s]]
-            la = [x for x in la if not np.isnan(x)]
-            lb = [x for x in lb if not np.isnan(x)]
-            if la and lb:
-                a[s] = np.mean(la)
-                b[s] = np.mean(lb)
-        excluded = int(np.isnan(a).sum())
+    # per condition, subject and region: the mean over that subject's layers
+    joint, ablated = np.apply_along_axis(_valid_mean, 1, scores)
+    for r, roi in enumerate(roi_names):
+        excluded = int((np.isnan(joint[:, r]) | np.isnan(ablated[:, r])).sum())
         if excluded:
             report.excluded_subjects[roi] = excluded
-        mean_a, mean_b, stat, p, n = _paired_row(a, b, tail="two_sided")
-        report.roi_rows.append(
-            {
-                "roi_name": roi,
-                "mean_A": mean_a,
-                "mean_B": mean_b,
-                "diff": mean_a - mean_b,
-                "paired_t": stat,
-                "p_value": p,
-                "n_subjects": n,
-            }
-        )
-
-    # per-layer curve over the union mask restricted to the voxels of every ROI
+        report.roi_rows.append(_row("roi", roi, *_paired_row(joint[:, r], ablated[:, r])))
     for layer in range(n_layers):
-        a = np.full(n_sub, np.nan)
-        b = np.full(n_sub, np.nan)
-        for s in range(n_sub):
-            roi_idx = _roi_union(atlases[s], roi_names)
-            idx = roi_idx[masks[s][roi_idx]]
-            if idx.size == 0:
-                continue
-            va = joint_results[s][layer].mean_correlation[idx]
-            vb = ablated_results[s][layer].mean_correlation[idx]
-            va, vb = va[~np.isnan(va)], vb[~np.isnan(vb)]
-            if va.size and vb.size:
-                a[s] = va.mean()
-                b[s] = vb.mean()
-        mean_a, mean_b, stat, p, n = _paired_row(a, b, tail="two_sided")
-        report.layerwise.append(
-            {
-                "layer": layer,
-                "mean_A": mean_a,
-                "mean_B": mean_b,
-                "diff": mean_a - mean_b,
-                "statistic": stat,
-                "p_value": p,
-                "n_subjects": n,
-            }
-        )
+        a, b = scores[:, layer, :, -1]
+        report.layerwise.append(_row("layer", layer, *_paired_row(a, b)))
     return report
 
 
@@ -267,9 +247,7 @@ def interaction_contrast(
     Every subject sees the same design (a layer's residual or one baseline
     draw), so the subjects' voxels are stacked and each design is fitted
     once: the number of fits does not depend on the number of subjects.
-    Subjects may differ in voxel count; each has its own atlas. (The
-    ``fit`` command still fits each subject alone, because ``fdr='bh'``
-    ranks p-values within one fit and stacking would pool subjects.)
+    Subjects may differ in voxel count; each has its own atlas.
     """
     if n_baseline < 3:
         raise ValueError("need at least 3 baseline draws")
@@ -279,12 +257,8 @@ def interaction_contrast(
     if n_sub == 0 or len(atlases) != n_sub:
         raise ValueError("subject lists must be nonempty and aligned")
     unimodal = np.hstack([lang_features, vis_features])
-    roi_names = list(atlases[0].keys())
-    # per subject: each ROI's voxels, then the union of all ROIs
-    regions = [
-        [np.asarray(atlas[r], dtype=np.int64) for r in roi_names] + [_roi_union(atlas, roi_names)]
-        for atlas in atlases
-    ]
+    roi_names = _roi_names(atlases)
+    regions = [_regions(atlas, roi_names) for atlas in atlases]
     Y = np.hstack(Y_subjects)
     splits = np.cumsum([Ys.shape[1] for Ys in Y_subjects])[:-1]
     rng = np.random.default_rng(seed)
@@ -319,19 +293,9 @@ def interaction_contrast(
     for r, group in zip(roi_names, roi_groups.T[:-1]):
         a, draws = float(group[0]), group[1:]
         stat, p, sd = _draw_ttest(a, draws)
-        mean_b = _valid_mean(draws)
         report.roi_rows.append(
-            {
-                "roi_name": r,
-                "mean_A": a,
-                "mean_B": mean_b,
-                "diff": a - mean_b,
-                "paired_t": stat,
-                "p_value": p,
-                "n_subjects": n_sub,
-                "n_baseline": n_baseline,
-                "baseline_sd": sd,
-            }
+            _row("roi", r, a, _valid_mean(draws), stat, p, n_sub,
+                 n_baseline=n_baseline, baseline_sd=sd)
         )
     if n_layers > 1:
         # per draw and layer: the union-region score, mean over subjects
@@ -339,18 +303,7 @@ def interaction_contrast(
         for layer, group in enumerate(layer_groups.T):
             a, draws = float(group[0]), group[1:]
             stat, p, _ = _draw_ttest(a, draws)
-            mean_b = _valid_mean(draws)
-            report.layerwise.append(
-                {
-                    "layer": layer,
-                    "mean_A": a,
-                    "mean_B": mean_b,
-                    "diff": a - mean_b,
-                    "statistic": stat,
-                    "p_value": p,
-                    "n_subjects": n_sub,
-                }
-            )
+            report.layerwise.append(_row("layer", layer, a, _valid_mean(draws), stat, p, n_sub))
     return report
 
 

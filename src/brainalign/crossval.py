@@ -290,14 +290,13 @@ def score_alignment(result: EncodingResult, voxel_subset) -> float:
     Flagged (NaN) voxels are excluded; an empty subset (or all-flagged)
     returns NaN as the empty-set marker.
     """
-    idx = np.asarray(voxel_subset, dtype=np.int64)
-    if idx.size == 0:
-        return float("nan")
-    vals = result.mean_correlation[idx]
+    return _valid_mean(result.mean_correlation[np.asarray(voxel_subset, dtype=np.int64)])
+
+
+def _valid_mean(vals: np.ndarray) -> float:
+    """Mean of the non-NaN values; NaN when there are none."""
     vals = vals[~np.isnan(vals)]
-    if vals.size == 0:
-        return float("nan")
-    return float(vals.mean())
+    return float(vals.mean()) if vals.size else float("nan")
 
 
 def _nanmean_cols(arr: np.ndarray) -> np.ndarray:

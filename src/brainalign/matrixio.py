@@ -76,18 +76,7 @@ def read_matrix(path, validate: bool = True) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise MatrixFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, code, reserved, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise MatrixFormatError(f"{path}: unsupported format version {version}")
-    if code not in _DTYPE_CODES:
-        raise MatrixFormatError(f"{path}: unknown dtype code {code}")
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"{path}: invalid shape {rows}x{cols}")
-    dt = _DTYPE_CODES[code]
+    dt, rows, cols = _parse_header(raw, path)
     expected = _HEADER.size + rows * cols * dt.itemsize
     if len(raw) != expected:
         raise MatrixFormatError(
@@ -100,6 +89,22 @@ def read_matrix(path, validate: bool = True) -> np.ndarray:
             r, c = np.argwhere(bad)[0]
             raise MatrixValidationError(f"{path}: non-finite value at row {r}, col {c}")
     return np.ascontiguousarray(data, dtype=np.float64)
+
+
+def _parse_header(raw: bytes, path) -> tuple[np.dtype, int, int]:
+    """Payload dtype, rows and cols from the header at the start of ``raw``."""
+    if len(raw) < _HEADER.size:
+        raise MatrixFormatError(f"{path}: truncated header ({len(raw)} bytes)")
+    magic, version, code, _, rows, cols = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise MatrixFormatError(f"{path}: bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise MatrixFormatError(f"{path}: unsupported format version {version}")
+    if code not in _DTYPE_CODES:
+        raise MatrixFormatError(f"{path}: unknown dtype code {code}")
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(f"{path}: invalid shape {rows}x{cols}")
+    return _DTYPE_CODES[code], rows, cols
 
 
 def load_roi_atlas(path, n_voxels: int | None = None) -> dict[str, np.ndarray]:
@@ -184,12 +189,12 @@ _REQUIRED_KEYS = (
 )
 
 
-def load_manifest(path, check_files: bool = True) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     """Load and fully validate a manifest; cross-file shape checks included.
 
     Referenced paths are resolved relative to the manifest's directory.
-    With ``check_files`` every referenced matrix is opened and row counts
-    are verified to agree across conditions and responses.
+    Every referenced matrix header is read and row counts are verified to
+    agree across conditions and responses.
     """
     path = Path(path)
     with open(path) as fh:
@@ -237,19 +242,13 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     if manifest.fdr not in ("none", "bh"):
         raise ManifestError(f"{path}: fdr must be 'none' or 'bh'")
 
-    if check_files:
-        _check_manifest_files(manifest, path)
+    _check_manifest_files(manifest, path)
     return manifest
 
 
 def _matrix_shape(path) -> tuple[int, int]:
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise MatrixFormatError(f"{path}: truncated header")
-    magic, version, code, _, rows, cols = _HEADER.unpack(head)
-    if magic != MAGIC or version != FORMAT_VERSION or code not in _DTYPE_CODES:
-        raise MatrixFormatError(f"{path}: not a valid matrix file")
+        _, rows, cols = _parse_header(fh.read(_HEADER.size), path)
     return rows, cols
 
 

@@ -161,17 +161,6 @@ def solve_path(path: RidgePath, Y: np.ndarray, lambda_grid) -> np.ndarray:
     return out
 
 
-def predict(W: np.ndarray, X_new: np.ndarray) -> np.ndarray:
-    """Predictions X_new @ W for new design rows."""
-    W = np.asarray(W, dtype=np.float64)
-    X_new = np.asarray(X_new, dtype=np.float64)
-    if X_new.ndim != 2 or W.ndim != 2 or X_new.shape[1] != W.shape[0]:
-        raise ValueError(
-            f"shape mismatch: X_new {X_new.shape} vs W {W.shape}"
-        )
-    return X_new @ W
-
-
 def _project(path: RidgePath, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:

@@ -208,6 +208,28 @@ class TestContrast:
         assert rois["roi_interaction"]["p_value"] < 0.05
 
 
+    @pytest.mark.parametrize("mode", ["connection", "interaction"])
+    def test_subjects_naming_different_rois_exit_2(self, dataset, tmp_path, capsys, mode):
+        manifest, out = dataset
+        data = tmp_path / "data"
+        shutil.copytree(manifest.parent, data)
+        rois = json.loads((data / "rois.json").read_text())
+        rois["roi_renamed"] = rois.pop("roi_null")
+        (data / "rois_s01.json").write_text(json.dumps(rois))
+        raw = json.loads((data / "manifest.json").read_text())
+        raw["subjects"][1]["roi_file"] = "rois_s01.json"
+        (data / "manifest.json").write_text(json.dumps(raw))
+        # the fits do not depend on the ROI files: reuse them under the new key
+        fit_dir = tmp_path / "out" / "fit" / manifest_hash(data / "manifest.json")
+        shutil.copytree(out / "fit" / manifest_hash(manifest), fit_dir)
+        extra = ["--condition-b", "lang_only"] if mode == "connection" else ["--n-baseline", "3"]
+        argv = ["contrast", "--manifest", str(data / "manifest.json"), "--out",
+                str(tmp_path / "out"), "--mode", mode, "--condition-a", "joint", *extra]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "subject 1" in err and "roi_renamed" in err and "roi_null" in err
+
+
 class TestCeilingAndReport:
     def test_ceiling_artifacts(self, dataset):
         manifest, out = dataset

@@ -150,6 +150,102 @@ class TestConnectionContrast:
             connection_contrast([], [], [])
 
 
+class TestConnectionScores:
+    """Exact rows from hand-built results: 3 scored subjects and one whose
+    union-of-significant mask is empty, 2 layers, dyadic correlations."""
+
+    ATLAS = {"a": [0, 1], "b": [2, 3]}  # voxel 4 lies in no ROI
+
+    @staticmethod
+    def _results(layers, mask):
+        mask = np.asarray(mask, dtype=bool)
+        # layer 0 marks the ROI-a voxels of the mask, layer 1 the rest
+        masks = [mask & (np.arange(5) < 2), mask & (np.arange(5) >= 2)]
+        return [_result_with_mask(m, mc) for m, mc in zip(masks, layers)]
+
+    @classmethod
+    def _report(cls, atlases=None):
+        nan = np.nan
+        subjects = [  # mask, joint layers, ablated layers
+            ([1, 1, 1, 0, 1],
+             [[0.5, 0.25, 0.75, 9, 9], [nan, nan, 0.5, 9, 9]],  # ROI a all NaN in layer 1
+             [[0.25, 0.25, 0.25, 9, 9], [0, 0.75, 0, 9, 9]]),
+            ([1, 1, 1, 1, 1],
+             [[0.5, 0.5, 0.5, 0.5, 9], [0.25, 0.25, 0.25, 0.25, 9]],
+             [[0, 0, 0, 0, 9], [0.25, 0.25, 0.25, 0.25, 9]]),
+            ([1, 0, 1, 1, 1],
+             [[0.75, 9, 0.5, 0.25, 9], [0.25, 9, nan, nan, 9]],  # ROI b all NaN in layer 1
+             [[0.5, 9, 0.25, 0, 9], [0.25, 9, 0.5, 0.75, 9]]),
+            ([0, 0, 0, 0, 0], [[0.5] * 5] * 2, [[0.5] * 5] * 2),  # empty mask
+        ]
+        joint = [cls._results(j, mask) for mask, j, _ in subjects]
+        # the ablated condition's own masks play no part in the selection
+        ablated = [cls._results(a, [1] * 5) for _, _, a in subjects]
+        return connection_contrast(joint, ablated, atlases or [cls.ATLAS] * 4)
+
+    @staticmethod
+    def _check(row, mean_a, mean_b, stat_key):
+        assert row["mean_A"] == np.mean(mean_a)
+        assert row["mean_B"] == np.mean(mean_b)
+        assert row["diff"] == np.mean(mean_a) - np.mean(mean_b)
+        assert row["n_subjects"] == 3
+        d = np.subtract(mean_a, mean_b)
+        t = d.mean() / (d.std(ddof=1) / np.sqrt(3))
+        assert row[stat_key] == pytest.approx(t, rel=1e-12, abs=1e-15)
+        # two-sided Student-t p-value with 2 degrees of freedom, closed form
+        assert row["p_value"] == pytest.approx(1 - abs(t) / np.sqrt(2 + t * t), rel=1e-12)
+
+    def test_roi_rows_pool_layers_per_subject(self):
+        report = self._report()
+        a, b = report.roi_rows
+        assert (a["roi_name"], b["roi_name"]) == ("a", "b")
+        self._check(a, [0.375, 0.375, 0.5], [0.3125, 0.125, 0.375], "paired_t")
+        self._check(b, [0.625, 0.375, 0.375], [0.125, 0.125, 0.375], "paired_t")
+        assert report.excluded_subjects == {"a": 1, "b": 1}
+
+    def test_layer_rows_score_the_roi_union(self):
+        layer0, layer1 = self._report().layerwise
+        assert (layer0["layer"], layer1["layer"]) == (0, 1)
+        self._check(layer0, [0.5, 0.5, 0.5], [0.25, 0.0, 0.25], "statistic")
+        self._check(layer1, [0.5, 0.25, 0.25], [0.25, 0.25, 0.5], "statistic")
+        assert (layer1["statistic"], layer1["p_value"]) == (0.0, 1.0)
+
+    def test_csv_layer_lines(self):
+        report = self._report()
+        lines = [line.split(",") for line in report.to_csv().splitlines()]
+        layer_lines = [line for line in lines if line[0] == "layer"]
+        assert len(layer_lines) == 2
+        for line, row in zip(layer_lines, report.layerwise):
+            keys = ("layer", "mean_A", "mean_B", "diff", "statistic", "p_value", "n_subjects")
+            assert [float(x) for x in line[1:]] == [row[k] for k in keys]
+        assert [line[0] for line in lines[1:]] == ["roi"] * 2 + ["layer"] * 2
+
+    def test_atlas_key_order_does_not_matter(self):
+        reordered = dict(reversed(list(self.ATLAS.items())))
+        assert self._report([self.ATLAS, reordered, self.ATLAS, reordered]).to_dict() == (
+            self._report().to_dict()
+        )
+
+
+@pytest.mark.parametrize(
+    "other", [{"a": [0], "c": [1]}, {"a": [0], "b": [1], "c": [2]}], ids=["renamed", "extra"]
+)
+class TestSubjectsNameTheSameRois:
+    ATLAS = {"a": [0], "b": [1]}
+
+    def test_connection(self, other):
+        joint = [[_result_with_mask([True, True, True], [0.1, 0.2, 0.3])]] * 2
+        with pytest.raises(ValueError, match=r"subject 1 has ROIs \['a', .*'c'\]"):
+            connection_contrast(joint, joint, [self.ATLAS, other])
+
+    def test_interaction(self, other):
+        X = np.random.default_rng(0).standard_normal((12, 2))
+        with pytest.raises(ValueError, match=r"subject 1 has ROIs \['a', .*'c'\]"):
+            interaction_contrast(
+                [X], X[:, :1], X[:, 1:], [X, X], [self.ATLAS, other], make_folds(12, 3), n_baseline=3
+            )
+
+
 class TestInteractionContrast:
     def _run(self, include_interaction, baseline="gaussian", seed=0):
         data = generate(SynthSpec(seed=21, include_interaction_in_joint=include_interaction))

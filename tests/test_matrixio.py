@@ -200,6 +200,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match="nope.eamx"):
             load_manifest(tmp_path / "manifest.json")
 
+    def test_bad_layer_magic(self, tmp_path):
+        raw = _build_dataset(tmp_path)
+        layer = tmp_path / "layer_0.eamx"
+        layer.write_bytes(b"XAMX" + layer.read_bytes()[4:])
+        (tmp_path / "manifest.json").write_text(json.dumps(raw))
+        with pytest.raises(MatrixFormatError, match="bad magic b'XAMX'"):
+            load_manifest(tmp_path / "manifest.json")
+
     def test_unknown_condition(self, tmp_path):
         raw = _build_dataset(tmp_path)
         (tmp_path / "manifest.json").write_text(json.dumps(raw))

@@ -7,7 +7,6 @@ from brainalign.ridge import (
     DegenerateDesignError,
     factor,
     factor_gram,
-    predict,
     solve,
     solve_lstsq,
     solve_path,
@@ -224,23 +223,11 @@ class TestLstsq:
 
 
 class TestPredict:
-    def test_zero_weights(self):
-        assert not predict(np.zeros((4, 2)), np.ones((5, 4))).any()
-
-    def test_dot_product_oracle(self):
-        W = np.array([[1.0, -1.0], [2.0, 0.5], [0.0, 3.0]])
-        x = np.array([[1.0, 2.0, 3.0]])
-        assert predict(W, x).tolist() == [[5.0, 9.0]]
-
     def test_projection_property(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((20, 5))
         Y = rng.standard_normal((20, 3))
         path = factor(X)
-        pred = predict(solve_lstsq(path, Y), X)
+        pred = X @ solve_lstsq(path, Y)
         proj = X @ np.linalg.lstsq(X, Y, rcond=None)[0]
         assert np.allclose(pred, proj, atol=1e-10)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            predict(np.zeros((4, 2)), np.ones((5, 3)))
