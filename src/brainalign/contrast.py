@@ -122,6 +122,8 @@ def roi_score(mean_correlation: np.ndarray, mask, atlas: dict, roi_name: str) ->
 def _roi_names(atlases: list[dict]) -> list[str]:
     """The ROI names every subject's atlas shares, in the first atlas's order."""
     names = list(atlases[0])
+    if not names:
+        raise ValueError("subject 0's atlas names no ROIs; a contrast needs at least one ROI")
     for s, atlas in enumerate(atlases[1:], start=1):
         if set(atlas) != set(names):
             raise ValueError(

@@ -94,6 +94,20 @@ def _train_stats(arr: np.ndarray):
     return mean, scale, flagged
 
 
+# Bytes of training rows in one column block of targets: a fold's factored
+# design takes its targets this many at a time (see ``fit_fold``). It is a
+# fixed number, not read from the machine, so the blocks, and with them every
+# artifact's bits, are the same on every run.
+BLOCK_BYTES = 8 * 2**20
+
+
+def _target_blocks(v: int, n_rows: int) -> list[slice]:
+    """Column slices covering v targets, each at most BLOCK_BYTES of float64
+    over ``n_rows`` rows wide, and at least one column."""
+    width = max(1, BLOCK_BYTES // (8 * n_rows))
+    return [slice(a, min(a + width, v)) for a in range(0, v, width)]
+
+
 def select_lambda(
     X: np.ndarray,
     Y: np.ndarray,
@@ -113,12 +127,17 @@ def select_lambda(
     smaller Gram matrix (``ridge.factor_gram``), which is faster than its
     SVD and selected what the SVD selects in every case measured; the final
     fit stays on the SVD. It never forms ridge weights or copies the inner
-    training targets: beyond U^T Y_tr and the centred held-out targets,
-    memory is one min(n_te, r) x v block reused for every grid value and a
-    few g x v arrays, not a g x p x v weight tensor.
+    training targets. Each inner design is factored once, and the columns
+    of Y are then scored in blocks of ``_target_blocks``: beyond the g x v
+    scores, memory that grows with v is one block, not a g x p x v weight
+    tensor. ``fit_fold`` runs the same two halves on each outer fold.
     """
     grid = np.asarray(lambda_grid, dtype=np.float64)
-    mean_scores = _lambda_scores(X, Y, inner_folds, grid)
+    return _best_lambda(_lambda_scores(X, Y, inner_folds, grid), grid)
+
+
+def _best_lambda(mean_scores: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The grid value of each column's best score, ties toward the larger."""
     # argmax with ties toward the larger lambda: scan the reversed grid
     rev_best = np.argmax(mean_scores[::-1], axis=0)
     return grid[grid.size - 1 - rev_best]
@@ -126,52 +145,94 @@ def select_lambda(
 
 def _lambda_scores(X, Y, inner_folds, grid):
     """Mean inner-held-out correlation per grid value and column, g x v;
-    -inf where no fold gives a finite score.
+    -inf where no fold gives a finite score. The inner designs of X are
+    factored once (``_inner_folds``) and Y is scored one column block at a
+    time (``_block_scores``)."""
+    folds = _inner_folds(X, inner_folds, grid)
+    scores = np.empty((grid.size, Y.shape[1]))
+    for cols in _target_blocks(Y.shape[1], X.shape[0]):
+        scores[:, cols] = _block_scores(folds, Y[:, cols])
+    return scores
 
-    With X_tr = U diag(s) V^T, taken from the smaller Gram matrix of X_tr
-    (``ridge.factor_gram``), the held-out prediction for lam is
-    (X_te V) diag(s / (s^2 + lam)) (U^T Y_tr). It is linear in X_te V, so
-    centring those r columns once centres every lam's prediction, and the
-    held-out targets are centred and normed once per fold. No n_te x v
-    prediction is formed: the numerators come from one g x v product and the
-    prediction norms from the R factor of the centred X_te V.
-    """
+
+@dataclass(frozen=True)
+class _InnerFold:
+    """One inner fold of the lambda search, factored for every target block."""
+
+    start: int  # held-out rows are start:stop
+    stop: int
+    left_vectors: np.ndarray  # U of the inner training design, n_tr x r
+    held_out: np.ndarray  # X_te V with its columns centred, n_te x r
+    r_factor: np.ndarray  # R of held_out, min(n_te, r) x r
+    shrink: np.ndarray  # s / (s^2 + lam), g x r
+
+
+def _inner_folds(X, inner_folds, grid) -> list[_InnerFold]:
+    """The design half of choosing lambda: each contiguous inner training
+    design of X factored from its smaller Gram matrix (X_tr = U diag(s) V^T,
+    ``ridge.factor_gram``), with what scoring needs of its held-out rows."""
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("lambda grid must be nonempty and positive")
     scheme = make_folds(X.shape[0], inner_folds)
-    v = Y.shape[1]
-    scores = np.zeros((grid.size, v))
-    counts = np.zeros((grid.size, v))
+    folds = []
     for fold in range(inner_folds):
         te = scheme.test_indices(fold)
         if te.size < 3:
             raise ValueError("need at least 3 samples in every inner test fold")
         path = ridge.factor_gram(X[scheme.train_indices(fold)])
         s = path.singular_values
+        a, b = int(te[0]), int(te[-1]) + 1
+        XV = X[a:b] @ path.right_vectors
+        XV -= XV.mean(axis=0)
+        folds.append(_InnerFold(
+            start=a,
+            stop=b,
+            left_vectors=path.left_vectors,
+            held_out=XV,
+            r_factor=np.linalg.qr(XV, mode="r"),
+            shrink=s / (s**2 + grid[:, None]),
+        ))
+    return folds
+
+
+def _block_scores(folds: list[_InnerFold], Y: np.ndarray) -> np.ndarray:
+    """The target half of choosing lambda: ``_lambda_scores`` for the
+    columns of Y, training targets already z-scored, given X's inner folds.
+
+    The held-out prediction for lam is (X_te V) diag(d) (U^T Y_tr) with
+    d = s / (s^2 + lam). It is linear in X_te V, so centring those r
+    columns once centres every lam's prediction, and the held-out targets
+    are centred and normed once per fold. No n_te x v prediction is formed:
+    the numerators come from one g x v product and the prediction norms from
+    the R factor of the centred X_te V.
+    """
+    g, v = folds[0].shrink.shape[0], Y.shape[1]
+    scores = np.zeros((g, v))
+    counts = np.zeros((g, v))
+    for f in folds:
         # folds are contiguous: rows a:b are held out, and U^T Y_tr is formed
         # from views of the rows before and after them, not a copy of Y_tr
-        a, b = te[0], te[-1] + 1
-        U = path.left_vectors
+        a, b, U = f.start, f.stop, f.left_vectors
         if a == 0:
             UtY = U.T @ Y[b:]
         else:
             UtY = U[:a].T @ Y[:a]
             if b < Y.shape[0]:
                 UtY += U[a:].T @ Y[b:]
-        XV = X[a:b] @ path.right_vectors
-        XV -= XV.mean(axis=0)
-        Yc = Y[a:b] - Y[a:b].mean(axis=0)
+        Yte = Y[a:b]
+        Yc = Yte - Yte.mean(axis=0)
         y_norm = np.sqrt(np.einsum("ij,ij->j", Yc, Yc))
-        # lam's prediction is XV diag(d) U^T Y_tr with d = s / (s^2 + lam): the
-        # numerators for every lam are one g x r by r x v product, and with
-        # XV = QR each norm ||XV z|| = ||R z|| comes from at most r rows
-        d = s / (s**2 + grid[:, None])
-        num = d @ (UtY * (XV.T @ Yc))
-        R = np.linalg.qr(XV, mode="r")
-        pred = np.empty((R.shape[0], v))
-        sq_norm = np.empty((grid.size, v))
-        for gi in range(grid.size):
-            np.matmul(R * d[gi], UtY, out=pred)
+        # a held-out target with zero spread scores NaN, however its mean
+        # rounded (which depends on the block's width)
+        y_norm[(Yte == Yte[0]).all(axis=0)] = 0.0
+        # the numerators for every lam are one g x r by r x v product, and
+        # with X_te V = QR each norm ||X_te V z|| = ||R z|| comes from at most
+        # r rows
+        num = f.shrink @ (UtY * (f.held_out.T @ Yc))
+        pred = np.empty((f.r_factor.shape[0], v))
+        sq_norm = np.empty((g, v))
+        for gi in range(g):
+            np.matmul(f.r_factor * f.shrink[gi], UtY, out=pred)
             np.einsum("ij,ij->j", pred, pred, out=sq_norm[gi])
         denom = np.sqrt(sq_norm) * y_norm
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -192,23 +253,46 @@ def fit_fold(
     test_idx: np.ndarray,
     inner_folds: int,
     lambda_grid: np.ndarray,
+    keep_weights: bool = False,
 ):
     """Fit one outer fold: z-score on training rows, select per-column
     lambda by inner CV, train, predict held-out rows in original Y units.
 
-    Returns (predictions, selected lambdas, weights).
+    The design is handled once: its z-scored training rows are factored
+    (X_tr = U diag(s) V^T, ``ridge.factor``), each inner training design is
+    factored for choosing lambda, and the test rows are projected to
+    X_te V. The targets then pass through in column blocks
+    (``_target_blocks``): each block's training rows are copied and
+    z-scored, get their lambdas, and are predicted as
+    (X_te V) diag(s / (s^2 + lam_j)) U^T Y_tr, which needs r x v, not the
+    p x v weights. Beyond Y, the n_te x v predictions and the weights under
+    ``keep_weights``, memory that grows with v is one block.
+
+    Returns (predictions, selected lambdas, weights); the p x v weights are
+    formed only under ``keep_weights`` and are None otherwise.
     """
+    grid = np.asarray(lambda_grid, dtype=np.float64)
     Xtr = X[train_idx]
     xm, xs, _ = _train_stats(Xtr)
-    Xte = (X[test_idx] - xm) / xs
-    Ytr = Y[train_idx]  # the one copy of the training targets
-    ym, ys, _ = _train_stats(Ytr)
+    inner = _inner_folds(Xtr, inner_folds, grid)
+    path = ridge.factor(Xtr)
+    XteV = ((X[test_idx] - xm) / xs) @ path.right_vectors
 
-    lam_sel = select_lambda(Xtr, Ytr, inner_folds, lambda_grid)
-    W = ridge.solve(ridge.factor(Xtr), Ytr, lam_sel)
-    pred = Xte @ W
-    pred *= ys
-    pred += ym
+    v = Y.shape[1]
+    pred = np.empty((test_idx.size, v))
+    lam_sel = np.empty(v)
+    W = np.empty((X.shape[1], v)) if keep_weights else None
+    for cols in _target_blocks(v, train_idx.size):
+        Ytr = Y[train_idx, cols]  # this block's copy of the training targets
+        ym, ys, _ = _train_stats(Ytr)
+        lam = lam_sel[cols] = _best_lambda(_block_scores(inner, Ytr), grid)
+        coef = ridge.basis_weights(path, Ytr, lam)
+        block = XteV @ coef
+        block *= ys
+        block += ym
+        pred[:, cols] = block
+        if keep_weights:
+            W[:, cols] = path.right_vectors @ coef
     return pred, lam_sel, W
 
 
@@ -244,17 +328,19 @@ def fit_encoding(
 
     n, v = Y.shape
     cv_pred = np.empty((n, v))
-    fold_r = np.empty((scheme.n_folds, v))
+    fold_r = np.full((scheme.n_folds, v), np.nan)
     sel = np.empty((scheme.n_folds, v))
-    weights = [None] * scheme.n_folds
+    weights = []
     for fold in range(scheme.n_folds):
         tr = scheme.train_indices(fold)
         te = scheme.test_indices(fold)
-        pred, sel[fold], W = fit_fold(X, Y, tr, te, inner_folds, grid)
-        cv_pred[te] = pred
-        fold_r[fold] = pearson_columns(pred, Y[te]) if te.size >= 3 else np.nan
+        cv_pred[te], sel[fold], W = fit_fold(X, Y, tr, te, inner_folds, grid, keep_weights)
         if keep_weights:
-            weights[fold] = W
+            weights.append(W)
+        if te.size >= 3:
+            # block by block, on copies of the block's held-out rows
+            for cols in _target_blocks(v, tr.size):
+                fold_r[fold, cols] = pearson_columns(cv_pred[te, cols], Y[te, cols])
 
     mean_r = _nanmean_cols(fold_r)
     test_frac = 1.0 / scheme.n_folds
@@ -268,7 +354,7 @@ def fit_encoding(
         significance_pvalues=pvals,
         significant_mask=_significance_mask(pvals, alpha, fdr),
         alpha=alpha,
-        fold_weights=weights if keep_weights else [],
+        fold_weights=weights,
     )
 
 

@@ -9,15 +9,17 @@ target column is then solved from that single factorization:
 which equals the normal-equations solution (X^T X + lam I)^-1 X^T Y
 restricted to the retained rank.
 
-Choosing lam (``crossval.select_lambda``) stays in this basis and forms no
-weights: a held-out prediction is (X_te V) diag(s / (s^2 + lam)) (U^T Y).
-Its inner products with the held-out targets, for every lam at once, are
-one g x r by r x v product, and its column norms equal those of
-R diag(...) (U^T Y), with R the min(n_te, r) x r triangular factor of the
-centred X_te V. Scoring a grid of g values therefore holds one
-min(n_te, r) x v block, reused for every value, instead of a g x p x v
-weight tensor. ``solve_path`` builds that tensor and has no caller in the
-package.
+Neither choosing lam nor predicting forms weights. A held-out prediction
+is (X_te V) diag(s / (s^2 + lam)) (U^T Y), where the right factor is
+``basis_weights``: r x v, not the p x v of W. Choosing lam
+(``crossval.select_lambda``) takes, for every lam at once, the inner
+products of that prediction with the held-out targets as one g x r by
+r x v product, and its column norms as those of R diag(...) (U^T Y), with
+R the min(n_te, r) x r triangular factor of the centred X_te V. The
+targets pass through in column blocks, so scoring a grid of g values holds
+one min(n_te, r) x block array, reused for every value, instead of a
+g x p x v weight tensor. ``solve_path`` builds that tensor and has no
+caller in the package.
 
 Each inner training design of that search is factored by ``factor_gram``,
 from the eigendecomposition of the smaller Gram matrix (X^T X or X X^T).
@@ -123,8 +125,10 @@ def factor_gram(X: np.ndarray) -> RidgePath:
     )
 
 
-def solve(path: RidgePath, Y: np.ndarray, lam) -> np.ndarray:
-    """Ridge weights W(lam), shape p-by-v, for targets Y (n-by-v).
+def basis_weights(path: RidgePath, Y: np.ndarray, lam) -> np.ndarray:
+    """diag(s / (s^2 + lam)) U^T Y, r-by-v: the ridge weights W(lam) in the
+    basis V, W = V @ basis_weights(...). Predictions for new rows are then
+    (X_new V) @ basis_weights(...), which needs no p-by-v array.
 
     ``lam`` is one value for every column, or a length-v vector giving
     column j its own value lam[j]."""
@@ -136,7 +140,13 @@ def solve(path: RidgePath, Y: np.ndarray, lam) -> np.ndarray:
     if lam.ndim != 0 and lam.shape != (UtY.shape[1],):
         raise ValueError(f"lam has shape {lam.shape}, expected () or ({UtY.shape[1]},)")
     UtY *= s / (s**2 + lam)
-    return path.right_vectors @ UtY
+    return UtY
+
+
+def solve(path: RidgePath, Y: np.ndarray, lam) -> np.ndarray:
+    """Ridge weights W(lam), shape p-by-v, for targets Y (n-by-v); ``lam``
+    as in :func:`basis_weights`."""
+    return path.right_vectors @ basis_weights(path, Y, lam)
 
 
 def solve_lstsq(path: RidgePath, Y: np.ndarray) -> np.ndarray:

@@ -229,6 +229,21 @@ class TestContrast:
         err = capsys.readouterr().err
         assert "subject 1" in err and "roi_renamed" in err and "roi_null" in err
 
+    @pytest.mark.parametrize("mode", ["connection", "interaction"])
+    def test_roi_file_with_no_rois_exit_2(self, dataset, tmp_path, capsys, mode):
+        manifest, out = dataset
+        data = tmp_path / "data"
+        shutil.copytree(manifest.parent, data)
+        (data / "rois.json").write_text("{}")
+        # the fits do not depend on the ROI file: reuse them under the new key
+        fit_dir = tmp_path / "out" / "fit" / manifest_hash(data / "manifest.json")
+        shutil.copytree(out / "fit" / manifest_hash(manifest), fit_dir)
+        extra = ["--condition-b", "lang_only"] if mode == "connection" else ["--n-baseline", "3"]
+        argv = ["contrast", "--manifest", str(data / "manifest.json"), "--out",
+                str(tmp_path / "out"), "--mode", mode, "--condition-a", "joint", *extra]
+        assert main(argv) == EXIT_INPUT
+        assert "subject 0's atlas names no ROIs" in capsys.readouterr().err
+
 
 class TestCeilingAndReport:
     def test_ceiling_artifacts(self, dataset):

@@ -246,6 +246,20 @@ class TestSubjectsNameTheSameRois:
             )
 
 
+class TestAtlasWithNoRois:
+    def test_connection(self):
+        joint = [[_result_with_mask([True, True, True], [0.1, 0.2, 0.3])]] * 3
+        with pytest.raises(ValueError, match="subject 0's atlas names no ROIs"):
+            connection_contrast(joint, joint, [{}] * 3)
+
+    def test_interaction(self):
+        X = np.random.default_rng(0).standard_normal((12, 2))
+        with pytest.raises(ValueError, match="subject 0's atlas names no ROIs"):
+            interaction_contrast(
+                [X], X[:, :1], X[:, 1:], [X, X], [{}, {}], make_folds(12, 3), n_baseline=3
+            )
+
+
 class TestInteractionContrast:
     def _run(self, include_interaction, baseline="gaussian", seed=0):
         data = generate(SynthSpec(seed=21, include_interaction_in_joint=include_interaction))

@@ -16,6 +16,8 @@ from brainalign.crossval import (
     score_alignment,
     select_lambda,
 )
+from brainalign.ceiling import noise_ceiling
+from brainalign.residual import remove_information
 from brainalign.stats import pearson_columns, student_t_sf
 
 
@@ -408,7 +410,9 @@ class TestFitFold:
         selected = set()
         for fold in range(scheme.n_folds):
             tr, te = scheme.train_indices(fold), scheme.test_indices(fold)
-            pred, lam, W = crossval.fit_fold(X, Y, tr, te, self.INNER, self.GRID)
+            pred, lam, W = crossval.fit_fold(
+                X, Y, tr, te, self.INNER, self.GRID, keep_weights=True
+            )
             ref_pred, ref_lam, ref_W = _reference_fit_fold(X, Y, tr, te, self.INNER, self.GRID)
             assert np.array_equal(lam, ref_lam)
             np.testing.assert_allclose(W, ref_W, rtol=0, atol=1e-12)
@@ -427,6 +431,112 @@ class TestFitFold:
                 X, Y, scheme.train_indices(fold), scheme.test_indices(fold), self.INNER, self.GRID
             )
         assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+
+
+class TestTargetBlocks:
+    """The column blocks a fold takes its targets in change no answer."""
+
+    N_TRAIN = 100  # training rows of an outer fold of make_folds(120, 6)
+    # one column per block, 3 + 3 + 1 columns, and one block for all 7
+    WIDTHS = {"1": 8 * N_TRAIN, "3": 3 * 8 * N_TRAIN}
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((120, 6))
+        Y = 5.0 + X @ rng.standard_normal((6, 7)) + rng.standard_normal((120, 7))
+        Y[:, 2] = 3.0  # constant
+        Y[40:60, 4] = 1.0  # constant in an inner test fold of outer fold 0
+        return X, Y
+
+    def _blocked(self, monkeypatch, width, fn):
+        with monkeypatch.context() as mp:
+            mp.setattr(crossval, "BLOCK_BYTES", self.WIDTHS[width])
+            assert len(crossval._target_blocks(7, self.N_TRAIN)) == {"1": 7, "3": 3}[width]
+            return fn()
+
+    @staticmethod
+    def _close(got, ref, err_msg=""):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=err_msg)
+
+    @pytest.mark.parametrize("width", ["1", "3"])
+    def test_fit_encoding(self, monkeypatch, scheme, width):
+        X, Y = self._data()
+
+        def fit():
+            return fit_encoding(X, Y, scheme, fdr="bh", keep_weights=True)
+
+        ref = fit()
+        got = self._blocked(monkeypatch, width, fit)
+        assert np.isnan(ref.mean_correlation[2]) and np.isfinite(ref.mean_correlation[4])
+        assert np.array_equal(got.selected_lambda, ref.selected_lambda)
+        assert np.array_equal(got.significant_mask, ref.significant_mask)
+        for name in ("cv_predictions", "fold_correlations", "mean_correlation",
+                     "significance_pvalues"):
+            self._close(getattr(got, name), getattr(ref, name), err_msg=name)
+        for W, W_ref in zip(got.fold_weights, ref.fold_weights, strict=True):
+            self._close(W, W_ref)
+
+    @pytest.mark.parametrize("width", ["1", "3"])
+    def test_select_lambda(self, monkeypatch, width):
+        X, Y = self._data()
+        Xtr, Ytr = X[20:].copy(), Y[20:].copy()
+        crossval._train_stats(Xtr)
+        crossval._train_stats(Ytr)
+        ref = _lambda_scores(Xtr, Ytr, 5, DEFAULT_LAMBDA_GRID)
+        got = self._blocked(monkeypatch, width, lambda: _lambda_scores(Xtr, Ytr, 5, DEFAULT_LAMBDA_GRID))
+        assert np.isneginf(ref[:, 2]).all()
+        assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+        self._close(got[:, ref[0] > -np.inf], ref[:, ref[0] > -np.inf])
+
+    @pytest.mark.parametrize("width", ["1", "3"])
+    @pytest.mark.parametrize("in_sample", [False, True])
+    def test_remove_information(self, monkeypatch, scheme, width, in_sample):
+        X, Y = self._data()
+        ref = remove_information(X, Y, scheme, in_sample=in_sample)
+        got = self._blocked(
+            monkeypatch, width, lambda: remove_information(X, Y, scheme, in_sample=in_sample)
+        )
+        self._close(got, ref)
+
+    @pytest.mark.parametrize("width", ["1", "3"])
+    def test_noise_ceiling(self, monkeypatch, scheme, width):
+        X, Y = self._data()
+        rng = np.random.default_rng(15)
+        subjects = [Y + rng.standard_normal(Y.shape) for _ in range(3)]
+        for sub in subjects:
+            sub[:, 2] = 1.0
+        ref = noise_ceiling(subjects, scheme)
+        got = self._blocked(monkeypatch, width, lambda: noise_ceiling(subjects, scheme))
+        assert np.isnan(ref.per_voxel_ceiling[2])
+        self._close(got.per_subject_ceilings, ref.per_subject_ceilings)
+
+    def test_weights_only_under_keep_weights(self, scheme):
+        X, Y = self._data()
+        tr, te = scheme.train_indices(1), scheme.test_indices(1)
+        assert crossval.fit_fold(X, Y, tr, te, 5, DEFAULT_LAMBDA_GRID)[2] is None
+        assert fit_encoding(X, Y, scheme).fold_weights == []
+
+    def test_memory_is_bounded_by_one_block(self, monkeypatch):
+        monkeypatch.setattr(crossval, "BLOCK_BYTES", 2**20, raising=False)
+        rng = np.random.default_rng(16)
+        n, v = 120, 20_000
+        X = rng.standard_normal((n, 8))
+        Y = rng.standard_normal((n, v))
+        scheme = make_folds(n, 6)
+        tracemalloc.start()
+        try:
+            res = fit_encoding(X, Y, scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = sum(
+            getattr(res, name).nbytes
+            for name in ("cv_predictions", "fold_correlations", "mean_correlation",
+                         "selected_lambda", "significance_pvalues", "significant_mask")
+        )
+        # one copy of an outer fold's training targets
+        assert peak - result < self.N_TRAIN * v * 8
 
 
 class TestFoldTtestPvalues:
