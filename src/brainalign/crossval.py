@@ -79,14 +79,19 @@ class EncodingResult:
 def _train_stats(arr: np.ndarray):
     """Z-score the training rows ``arr`` (a copy the caller owns) in place
     and return their per-column mean and scale; constant columns get scale
-    1 and are flagged.
+    1, centred values of exactly 0, and are flagged.
 
-    The scale matches ``arr.std(axis=0)`` bit for bit (the tests check it)
-    but is taken from the centred rows, so no temporary of ``arr``'s size
-    is allocated.
+    A column is constant when all its values are equal, tested exactly: a
+    constant whose mean does not round exactly (0.1, say) centres to the
+    same rounding error in every row, not to 0, and would z-score to +-1.
+    Otherwise the scale matches ``arr.std(axis=0)`` bit for bit (the tests
+    check it) but is taken from the centred rows, so no float temporary of
+    ``arr``'s size is allocated.
     """
+    constant = (arr == arr[0]).all(axis=0)
     mean = arr.mean(axis=0)
     arr -= mean
+    arr[:, constant] = 0.0
     scale = np.sqrt(np.einsum("ij,ij->j", arr, arr) / arr.shape[0])
     flagged = scale == 0.0
     scale[flagged] = 1.0
@@ -163,7 +168,10 @@ class _InnerFold:
     stop: int
     left_vectors: np.ndarray  # U of the inner training design, n_tr x r
     held_out: np.ndarray  # X_te V with its columns centred, n_te x r
-    r_factor: np.ndarray  # R of held_out, min(n_te, r) x r
+    # rows whose products with z have the norms ||held_out z||: the R factor
+    # of held_out when n_te > r, else held_out itself (its R would have as
+    # many rows); min(n_te, r) x r
+    r_factor: np.ndarray
     shrink: np.ndarray  # s / (s^2 + lam), g x r
 
 
@@ -189,7 +197,7 @@ def _inner_folds(X, inner_folds, grid) -> list[_InnerFold]:
             stop=b,
             left_vectors=path.left_vectors,
             held_out=XV,
-            r_factor=np.linalg.qr(XV, mode="r"),
+            r_factor=np.linalg.qr(XV, mode="r") if XV.shape[0] > XV.shape[1] else XV,
             shrink=s / (s**2 + grid[:, None]),
         ))
     return folds
@@ -226,8 +234,8 @@ def _block_scores(folds: list[_InnerFold], Y: np.ndarray) -> np.ndarray:
         # rounded (which depends on the block's width)
         y_norm[(Yte == Yte[0]).all(axis=0)] = 0.0
         # the numerators for every lam are one g x r by r x v product, and
-        # with X_te V = QR each norm ||X_te V z|| = ||R z|| comes from at most
-        # r rows
+        # each norm ||X_te V z|| comes from at most r rows: ||R z|| with
+        # X_te V = QR when n_te > r, else X_te V's own n_te rows
         num = f.shrink @ (UtY * (f.held_out.T @ Yc))
         pred = np.empty((f.r_factor.shape[0], v))
         sq_norm = np.empty((g, v))

@@ -108,7 +108,10 @@ def student_t_sf(t, dof):
 def pearson_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Columnwise Pearson correlation of two n-by-v arrays.
 
-    Constant columns (in either input) yield NaN.
+    Constant columns (in either input) yield NaN. A column is constant when
+    all its values are equal, tested exactly: a constant whose mean does not
+    round exactly (0.1, say) centres to the same rounding error in every
+    row, and would otherwise score the correlation of that error.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -123,7 +126,7 @@ def pearson_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     denom = na * nb
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.einsum("ij,ij->j", da, db) / denom
-    r[denom == 0.0] = np.nan
+    r[(denom == 0.0) | (A == A[0]).all(axis=0) | (B == B[0]).all(axis=0)] = np.nan
     return r
 
 

@@ -16,6 +16,13 @@ components, so every analysis has a known-answer test bed:
 
 Latents get AR(1) temporal smoothing so block-CV leakage tests run on
 autocorrelated data.
+
+Every matrix is built in place: each standardization works on the temporary
+it is handed, feature noise and ROI components are added into their
+matrices, and each subject's noise is scaled straight into its ROI's column
+slice of the response matrix. The draws are taken in a fixed order, so the
+output is bit-identical for identical spec and seed (``tests/test_synth.py``
+pins its digests).
 """
 
 from __future__ import annotations
@@ -102,20 +109,37 @@ class SynthData:
 def _ar1(eps: list[np.ndarray], rho: float) -> list[np.ndarray]:
     """AR(1)-smoothed standard-normal columns of each array, re-standardized.
     One loop smooths the stacked columns (they never mix); each array is then
-    standardized alone and contiguous, bit-identical to smoothing it by itself."""
+    standardized alone and contiguous, bit-identical to smoothing it by itself.
+
+    The innovations are scaled by sqrt(1 - rho^2) once, up front, and each
+    step is then two ufunc calls into one preallocated row: the same
+    products and the same sums as ``rho * out[t-1] + c * eps[t]``.
+    """
     out = np.hstack(eps)
     if rho > 0:
-        c = np.sqrt(1.0 - rho * rho)
+        out[1:] *= np.sqrt(1.0 - rho * rho)
+        row = np.empty(out.shape[1])
         for t in range(1, out.shape[0]):
-            out[t] = rho * out[t - 1] + c * out[t]
+            np.multiply(out[t - 1], rho, out=row)
+            out[t] += row
     cuts = np.cumsum([e.shape[1] for e in eps[:-1]])
     return [_standardize(np.ascontiguousarray(z)) for z in np.split(out, cuts, axis=1)]
 
 
 def _standardize(arr: np.ndarray) -> np.ndarray:
-    sd = arr.std(axis=0)
+    """Standardize the columns of ``arr`` in place and return it.
+
+    ``arr`` must be a temporary the caller owns (every caller passes a fresh
+    array). The result is bit-identical to ``(arr - arr.mean(0)) /
+    arr.std(0)``: the scale is numpy's own ``std`` path (the root of the
+    mean square of the centred values), taken from the centred array itself.
+    Columns with zero spread keep scale 1.
+    """
+    arr -= arr.mean(axis=0)
+    sd = np.sqrt(np.add.reduce(arr * arr, axis=0) / arr.shape[0])
     sd[sd == 0.0] = 1.0
-    return (arr - arr.mean(axis=0)) / sd
+    arr /= sd
+    return arr
 
 
 def _mix(rng, sources: list[np.ndarray], out_dim: int, noise: float) -> np.ndarray:
@@ -123,12 +147,21 @@ def _mix(rng, sources: list[np.ndarray], out_dim: int, noise: float) -> np.ndarr
     M = rng.standard_normal((src.shape[1], out_dim)) / np.sqrt(src.shape[1])
     F = src @ M
     if noise > 0:
-        F = F + noise * rng.standard_normal(F.shape)
+        E = rng.standard_normal(F.shape)
+        E *= noise
+        F += E
     return F
 
 
 def generate(spec: SynthSpec) -> SynthData:
-    """Generate the full test bed; bit-identical for identical spec+seed."""
+    """Generate the full test bed; bit-identical for identical spec+seed.
+
+    The draws are taken in this order: the lang, vis and shared latents'
+    innovations, the two interaction projections, each condition's mixing
+    matrix and then its feature noise, each ROI's voxel weights (one matrix
+    per component, in ``snr`` order), and then, subject by subject, each
+    ROI's response noise.
+    """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
@@ -160,27 +193,33 @@ def generate(spec: SynthSpec) -> SynthData:
 
     # voxel signal weights are drawn once and shared across subjects so
     # paired across-subject tests see a common signal with private noise
-    atlas = {}
+    atlas, spans = {}, {}
     start = 0
     roi_signals = {}
     for roi, count in spec.voxels_per_roi.items():
         atlas[roi] = np.arange(start, start + count, dtype=np.int64)
+        spans[roi] = slice(start, start + count)
         start += count
-        comps = spec.snr.get(roi, {})
-        sig = np.zeros((n, count))
-        for comp, snr in comps.items():
+        for comp, snr in spec.snr.get(roi, {}).items():
             w = rng.standard_normal((dims[comp], count))
-            sig += snr * _standardize(z[comp] @ w)
-        roi_signals[roi] = sig
+            part = _standardize(z[comp] @ w)
+            part *= snr
+            if roi in roi_signals:
+                roi_signals[roi] += part
+            else:
+                roi_signals[roi] = part
     total_voxels = start
 
+    # every ROI is a contiguous run of columns, so each draw is scaled
+    # straight into its slice of Y and the signal added there
     responses = []
     for sigma in spec.subject_sigmas():
         Y = np.empty((n, total_voxels))
-        for roi in spec.voxels_per_roi:
-            Y[:, atlas[roi]] = roi_signals[roi] + sigma * rng.standard_normal(
-                (n, atlas[roi].size)
-            )
+        for roi, cols in spans.items():
+            block = Y[:, cols]
+            np.multiply(rng.standard_normal(block.shape), sigma, out=block)
+            if roi in roi_signals:
+                block += roi_signals[roi]
         responses.append(Y)
 
     ground_truth = {

@@ -137,6 +137,22 @@ class TestFitEncoding:
         assert not res.significant_mask[1]
         assert np.isfinite(res.mean_correlation[[0, 2]]).all()
 
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3])
+    def test_constant_voxel_with_inexact_mean_flagged(self, scheme, value):
+        """A constant whose mean does not round exactly centres to the same
+        rounding error in every row; it must still read as flagged, not as
+        perfectly (or perfectly anti-) predicted."""
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((120, 5))
+        Y = rng.standard_normal((120, 3))
+        Y[:, 1] = value
+        res = fit_encoding(X, Y, scheme)
+        assert np.isnan(res.fold_correlations[:, 1]).all()
+        assert np.isnan(res.mean_correlation[1])
+        assert np.isnan(res.significance_pvalues[1])
+        assert not res.significant_mask[1]
+        assert np.isfinite(res.mean_correlation[[0, 2]]).all()
+
     def test_few_folds_rejected(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((20, 3))
@@ -370,6 +386,17 @@ class TestTrainStats:
         assert np.array_equal(flagged, std == 0.0) and flagged[1] and flagged.sum() == 1
         assert np.array_equal(scale, np.where(flagged, 1.0, std))
         assert np.array_equal(work, (arr - mean) / scale)
+
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3])
+    def test_constant_with_inexact_mean_flagged(self, value):
+        arr = np.random.default_rng(3).standard_normal((100, 3))
+        arr[:, 1] = value
+        centred = arr[:, 1] - arr[:, 1].mean()
+        assert centred.any() and np.ptp(centred) == 0.0  # one rounding error in every row
+        _, scale, flagged = crossval._train_stats(arr)
+        assert flagged.tolist() == [False, True, False]
+        assert scale[1] == 1.0
+        assert not arr[:, 1].any()
 
 
 def _reference_fit_fold(X, Y, train_idx, test_idx, inner_folds, grid):

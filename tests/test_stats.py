@@ -243,6 +243,15 @@ class TestPearson:
         B = np.random.default_rng(0).standard_normal((10, 2))
         assert np.isnan(pearson_columns(A, B)).all()
 
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3])
+    def test_columns_constant_with_inexact_mean_flagged(self, value):
+        """A constant whose mean does not round exactly is NaN in either
+        argument, not the correlation of its rounding error."""
+        noise = np.random.default_rng(1).standard_normal((100, 2))
+        const = np.full((100, 2), value)
+        assert np.isnan(pearson_columns(const, noise)).all()
+        assert np.isnan(pearson_columns(noise, const)).all()
+
 
 class TestBhFdr:
     def test_all_zero_selected(self):
