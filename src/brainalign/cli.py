@@ -28,7 +28,13 @@ import numpy as np
 from brainalign import __version__
 from brainalign.ceiling import CeilingResult, noise_ceiling
 from brainalign.contrast import connection_contrast, interaction_contrast
-from brainalign.crossval import EncodingResult, _nanmean_cols, fit_encoding, make_folds
+from brainalign.crossval import (
+    EncodingResult,
+    _nanmean_cols,
+    _significance_mask,
+    fit_encoding,
+    make_folds,
+)
 from brainalign.matrixio import (
     DatasetManifest,
     ManifestError,
@@ -106,20 +112,24 @@ def _save_result(res: EncodingResult, out_dir: Path, layer: int) -> None:
         write_matrix(arr, out_dir / f"layer_{layer:02d}_{name}.eamx")
 
 
-def _load_result(out_dir: Path, layer: int, alpha: float) -> EncodingResult:
+def _load_result(out_dir: Path, layer: int, alpha: float, fdr: str) -> EncodingResult:
+    """A cached layer fit, its significance decided from the cached p-values
+    under ``fdr`` (the saved mask is that of the fit's own ``--fdr``)."""
+
     def rd(name):
         p = out_dir / f"layer_{layer:02d}_{name}.eamx"
         if not p.exists():
             raise FileNotFoundError(str(p))
         return read_matrix(p, validate=False)
 
+    pvals = rd("significance_pvalues")[0]
     return EncodingResult(
         cv_predictions=rd("cv_predictions"),
         fold_correlations=rd("fold_correlations"),
         mean_correlation=rd("mean_correlation")[0],
         selected_lambda=rd("selected_lambda"),
-        significance_pvalues=rd("significance_pvalues")[0],
-        significant_mask=rd("significant_mask")[0].astype(bool),
+        significance_pvalues=pvals,
+        significant_mask=_significance_mask(pvals, alpha, fdr),
         alpha=alpha,
     )
 
@@ -307,6 +317,7 @@ def cmd_contrast(args) -> int:
     if args.mode == "connection":
         cond_a = manifest.condition(args.condition_a)
         cond_b = manifest.condition(args.condition_b)
+        fdr = args.fdr or manifest.fdr
 
         def load_all(cond):
             per_subject = [None] * len(manifest.subjects)
@@ -315,7 +326,7 @@ def cmd_contrast(args) -> int:
                 d = fit_root / cond.name / sub.id
                 try:
                     per_subject[i] = [
-                        _load_result(d, layer, manifest.significance_alpha)
+                        _load_result(d, layer, manifest.significance_alpha, fdr)
                         for layer in range(len(cond.layer_files))
                     ]
                 except FileNotFoundError as exc:

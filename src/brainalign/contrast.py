@@ -4,7 +4,7 @@ Connection contrast: does a joint condition predict responses better than
 its ablated counterpart? Voxel selection is the union of significantly
 predicted voxels across the reference (joint) condition's layers; scores
 are mean held-out correlations over ROI-masked voxels; group-level
-inference is a paired t-test across subjects.
+inference is a two-sided paired t-test across subjects.
 
 Interaction contrast: does the residual of the joint features, after
 removing everything the unimodal features linearly explain, still predict
@@ -13,8 +13,15 @@ pipeline?
 
 Both contrasts fill one array of region scores -- per arm (condition or
 baseline draw), layer, subject and region, where the regions are each ROI
-and then the union of all ROIs -- and build their ROI and layer rows from
-it.
+and then the union of all ROIs -- and build their ROI rows with one call
+of ``stats.t_test`` and their layer rows with another. That is the one
+t-test of the package: it tests mean(a - b) over axis 0 with variance
+sd^2 (1/n + extra), where extra is the Nadeau-Bengio n_test/n_train for
+every encoding fit's fold p-values, none (0) for the connection
+contrast's paired test over subjects, and 1 for the interaction
+contrast's residual against n baseline draws. NaN values are left out,
+and a row with fewer than 3 values, or whose spread is at the rounding
+level of its values (a constant sample or a constant offset), gets NaN.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from brainalign.crossval import (
     fit_encoding,
 )
 from brainalign.residual import remove_information
-from brainalign.stats import ZeroVarianceError, paired_ttest, student_t_sf
+from brainalign.stats import t_test
 
 BASELINE_MODES = ("gaussian", "shuffle")
 
@@ -80,8 +87,10 @@ _ROW_KEYS = {"roi": ("roi_name", "paired_t"), "layer": ("layer", "statistic")}
 
 
 def _row(kind: str, name, mean_a, mean_b, stat, p, n, **extra) -> dict:
-    """One report row; ``extra`` keys follow the common ones."""
+    """One report row, in Python numbers; ``extra`` keys follow the common
+    ones."""
     name_key, stat_key = _ROW_KEYS[kind]
+    mean_a, mean_b, stat, p = (float(v) for v in (mean_a, mean_b, stat, p))
     return {
         name_key: name,
         "mean_A": mean_a,
@@ -89,7 +98,7 @@ def _row(kind: str, name, mean_a, mean_b, stat, p, n, **extra) -> dict:
         "diff": mean_a - mean_b,
         stat_key: stat,
         "p_value": p,
-        "n_subjects": n,
+        "n_subjects": int(n),
         **extra,
     }
 
@@ -143,23 +152,15 @@ def _regions(atlas: dict, roi_names: list[str], mask=None) -> list[np.ndarray]:
     return regions
 
 
-def _paired_row(a: np.ndarray, b: np.ndarray):
-    """Two-sided paired test over subjects with both scores; degenerate
-    (zero-variance) pairs are flagged with NaN statistics rather than
-    raised. Returns mean_a, mean_b, statistic, p-value and n."""
-    ok = ~(np.isnan(a) | np.isnan(b))
-    a, b = a[ok], b[ok]
-    n = a.size
-    stat, p = float("nan"), float("nan")
-    if n >= 3:
-        try:
-            res = paired_ttest(a, b, tail="two_sided")
-            stat, p = res.statistic, res.p_value
-        except ZeroVarianceError:
-            pass
-    mean_a = float(a.mean()) if n else float("nan")
-    mean_b = float(b.mean()) if n else float("nan")
-    return mean_a, mean_b, stat, p, n
+def _paired_rows(kind: str, names, a: np.ndarray, b: np.ndarray) -> list[dict]:
+    """One row per column of the subject-by-row scores ``a`` and ``b``: their
+    means over the subjects scored in both, and a two-sided paired t-test."""
+    t, p, _ = t_test(a, b, tail="two_sided")
+    valid = ~np.isnan(a - b)
+    mean_a, mean_b = (
+        np.apply_along_axis(_valid_mean, 0, np.where(valid, x, np.nan)) for x in (a, b)
+    )
+    return [_row(kind, *cols) for cols in zip(names, mean_a, mean_b, t, p, valid.sum(axis=0))]
 
 
 def connection_contrast(
@@ -203,14 +204,14 @@ def connection_contrast(
     )
     # per condition, subject and region: the mean over that subject's layers
     joint, ablated = np.apply_along_axis(_valid_mean, 1, scores)
-    for r, roi in enumerate(roi_names):
-        excluded = int((np.isnan(joint[:, r]) | np.isnan(ablated[:, r])).sum())
-        if excluded:
-            report.excluded_subjects[roi] = excluded
-        report.roi_rows.append(_row("roi", roi, *_paired_row(joint[:, r], ablated[:, r])))
-    for layer in range(n_layers):
-        a, b = scores[:, layer, :, -1]
-        report.layerwise.append(_row("layer", layer, *_paired_row(a, b)))
+    report.roi_rows = _paired_rows("roi", roi_names, joint[:, :-1], ablated[:, :-1])
+    report.excluded_subjects = {
+        row["roi_name"]: n_sub - row["n_subjects"]
+        for row in report.roi_rows
+        if row["n_subjects"] < n_sub
+    }
+    # per condition: subject-by-layer scores of the union region
+    report.layerwise = _paired_rows("layer", range(n_layers), *scores[..., -1].transpose(0, 2, 1))
     return report
 
 
@@ -237,14 +238,21 @@ def interaction_contrast(
     matrices matching the residual's shape -- standard normal draws, or
     row-shuffled residuals with ``baseline='shuffle'`` -- pushed through
     the identical encoding pipeline. Per ROI the group residual score
-    (mean over subjects and layers) is tested one-sided against the
-    distribution of baseline-draw group scores: t with n_baseline - 1
-    degrees of freedom and a (1 + 1/K) variance correction for comparing
-    one new observation against K reference draws. Subjects share the
-    feature matrices, so their diffs are not independent replicates; the
-    draws are the exchangeable unit. With a ceiling, per-voxel scores are
-    ceiling-normalized before ROI averaging. With more than one layer, the
-    per-layer rows score the union of every ROI's voxels.
+    (mean over subjects and layers) is tested one-sided against the K =
+    ``n_baseline`` baseline-draw group scores, with the package's one test,
+    ``stats.t_test``, on the residual minus each draw: t = mean /
+    (sd * sqrt(1/K + 1)) on K - 1 degrees of freedom. Of its three
+    variance terms -- Nadeau-Bengio n_test/n_train for fold p-values, none
+    for the connection contrast's paired test -- this one is 1, the
+    variance of the one new observation beside the draw mean's 1/K.
+    Subjects share the feature matrices, so their diffs are not
+    independent replicates; the draws are the exchangeable unit. A NaN
+    draw is left out of the test, as it is of ``mean_B``. Fewer than 3
+    draws left, or draws whose spread is at the rounding level of their
+    values, give NaN ``paired_t``, ``p_value`` and ``baseline_sd``. With a
+    ceiling, per-voxel scores are ceiling-normalized before ROI averaging.
+    With more than one layer, the per-layer rows score the union of every
+    ROI's voxels.
 
     Every subject sees the same design (a layer's residual or one baseline
     draw), so the subjects' voxels are stacked and each design is fitted
@@ -292,36 +300,22 @@ def interaction_contrast(
     )
     # group score per draw: mean over each subject's layers, then over subjects
     roi_groups = np.apply_along_axis(_valid_mean, 1, np.apply_along_axis(_valid_mean, 1, scores))
-    for r, group in zip(roi_names, roi_groups.T[:-1]):
-        a, draws = float(group[0]), group[1:]
-        stat, p, sd = _draw_ttest(a, draws)
+    for r, a, mean_b, stat, p, sd in zip(roi_names, *_draw_test(roi_groups[:, :-1])):
         report.roi_rows.append(
-            _row("roi", r, a, _valid_mean(draws), stat, p, n_sub,
-                 n_baseline=n_baseline, baseline_sd=sd)
+            _row("roi", r, a, mean_b, stat, p, n_sub, n_baseline=n_baseline, baseline_sd=float(sd))
         )
     if n_layers > 1:
         # per draw and layer: the union-region score, mean over subjects
         layer_groups = np.apply_along_axis(_valid_mean, 2, scores[..., -1])
-        for layer, group in enumerate(layer_groups.T):
-            a, draws = float(group[0]), group[1:]
-            stat, p, _ = _draw_ttest(a, draws)
-            report.layerwise.append(_row("layer", layer, a, _valid_mean(draws), stat, p, n_sub))
+        for layer, a, mean_b, stat, p, _ in zip(range(n_layers), *_draw_test(layer_groups)):
+            report.layerwise.append(_row("layer", layer, a, mean_b, stat, p, n_sub))
     return report
 
 
-def _draw_ttest(value: float, draws: np.ndarray):
-    """One-sided test of a single observation against K reference draws.
-
-    t = (value - mean(draws)) / (sd(draws) * sqrt(1 + 1/K)) with K - 1
-    degrees of freedom; the extra 1/K accounts for the uncertainty of the
-    draw mean. Degenerate draws (zero spread, or any NaN) flag NaN.
-    """
-    draws = np.asarray(draws, dtype=np.float64)
-    k = draws.size
-    if np.isnan(value) or np.isnan(draws).any():
-        return float("nan"), float("nan"), float("nan")
-    sd = float(draws.std(ddof=1))
-    if sd == 0.0:
-        return float("nan"), float("nan"), 0.0
-    t = (value - draws.mean()) / (sd * np.sqrt(1.0 + 1.0 / k))
-    return float(t), student_t_sf(float(t), k - 1), sd
+def _draw_test(groups: np.ndarray):
+    """Per column of ``groups`` (draw 0 the residual, then the K baseline
+    draws): the residual score, the mean of the draws, and the one-sided
+    t-test of the residual against the draws with variance sd^2 (1/K + 1);
+    NaN draws are left out."""
+    t, p, sd = t_test(groups[:1], groups[1:], extra_var=1.0)
+    return groups[0], np.apply_along_axis(_valid_mean, 0, groups[1:]), t, p, sd

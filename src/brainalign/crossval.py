@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from brainalign import ridge
-from brainalign.stats import bh_fdr, pearson_columns, student_t_sf
+from brainalign.stats import bh_fdr, pearson_columns, t_test
 
 DEFAULT_LAMBDA_GRID = np.logspace(-1, 8, 10)
 DEFAULT_INNER_FOLDS = 5
@@ -316,9 +316,17 @@ def fit_encoding(
 ) -> EncodingResult:
     """Full nested-CV encoding fit of targets Y from features X.
 
-    Significance per target: one-sided (greater) one-sample t-test of the
-    per-fold held-out correlations against 0. ``fdr='bh'`` applies
-    Benjamini-Hochberg at level ``alpha`` to the p-values.
+    Significance per target: one-sided (greater) ``stats.t_test`` of the
+    per-fold held-out correlations against 0. Fold correlations are
+    positively correlated (each fold's held-out rows train every other
+    fold's model), so the naive variance of their mean, sd^2/k, is too
+    small and the test would reject well above its nominal level on pure
+    noise. The variance is inflated by the Nadeau-Bengio term for dependent
+    CV estimates, sd^2 * (1/k + n_test/n_train), which restores nominal
+    calibration (checked in the acceptance suite). Targets with fewer than
+    3 valid folds or a constant fold correlation get NaN p-values.
+    ``fdr='bh'`` applies Benjamini-Hochberg at level ``alpha`` to the
+    p-values.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -352,7 +360,7 @@ def fit_encoding(
 
     mean_r = _nanmean_cols(fold_r)
     test_frac = 1.0 / scheme.n_folds
-    pvals = _fold_ttest_pvalues(fold_r, test_to_train=test_frac / (1.0 - test_frac))
+    _, pvals, _ = t_test(fold_r, extra_var=test_frac / (1.0 - test_frac))
 
     return EncodingResult(
         cv_predictions=cv_pred,
@@ -402,29 +410,3 @@ def _nanmean_cols(arr: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         # an all-NaN column sums to 0.0 over 0 values: 0/0 is NaN
         return np.where(valid, arr, 0.0).sum(axis=0) / valid.sum(axis=0)
-
-
-def _fold_ttest_pvalues(fold_r: np.ndarray, test_to_train: float = 0.0) -> np.ndarray:
-    """One-sided one-sample t-test of fold correlations against 0, per column.
-
-    Fold correlations from cross-validation are positively correlated
-    (each fold's held-out rows train every other fold's model), so the
-    naive variance-of-the-mean estimate sd^2/k is too small and the test
-    rejects well above its nominal level on pure noise. The variance is
-    therefore inflated by the Nadeau-Bengio term for dependent CV
-    estimates: var(mean) ~= sd^2 * (1/k + n_test/n_train). This restores
-    nominal false-positive calibration (verified empirically in the
-    acceptance suite). Columns with fewer than 3 valid folds or zero
-    variance get NaN.
-    """
-    valid = ~np.isnan(fold_r)
-    counts = valid.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(valid, fold_r, 0.0).sum(axis=0) / counts
-        dev = np.where(valid, fold_r - mean, 0.0)
-        sd = np.sqrt((dev * dev).sum(axis=0) / (counts - 1))
-        t = mean / (sd * np.sqrt(1.0 / counts + test_to_train))
-    ok = (counts >= 3) & (sd != 0.0)
-    pvals = np.full(fold_r.shape[1], np.nan)
-    pvals[ok] = student_t_sf(t[ok], counts[ok] - 1)
-    return pvals

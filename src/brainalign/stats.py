@@ -9,17 +9,12 @@ verified against high-precision reference values in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _MAX_ITER = 400
 _EPS = 1e-16
 _TINY = 1e-300
-
-
-class ZeroVarianceError(ValueError):
-    """A t-test sample (or difference vector) has zero variance."""
 
 
 def _nonzero(v: np.ndarray) -> np.ndarray:
@@ -130,47 +125,53 @@ def pearson_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return r
 
 
-@dataclass
-class TestResult:
-    __test__ = False  # data container, not a pytest collectible
+def t_test(a, b=0.0, extra_var: float = 0.0, tail: str = "one_sided_greater"):
+    """Column-wise t-test of mean(a - b) against 0, over axis 0.
 
-    statistic: float
-    p_value: float
-    dof: int
-    tail: str  # "one_sided_greater" | "two_sided"
+    ``a`` and ``b`` broadcast against each other; NaN differences are left
+    out. Per column, with the n remaining differences of mean m and sample
+    sd s::
 
+        t = m / (s * sqrt(1/n + extra_var))   on n - 1 degrees of freedom
 
-def one_sample_ttest(x, mu0: float = 0.0, tail: str = "one_sided_greater") -> TestResult:
-    """One-sample t-test of ``x`` against ``mu0``."""
+    ``extra_var`` adds to the 1/n variance of the mean: the Nadeau-Bengio
+    term n_test/n_train for dependent cross-validation folds, or 1 when one
+    observation is compared with n reference draws. ``tail`` is
+    ``"one_sided_greater"`` (P(T > t)) or ``"two_sided"``.
+
+    A column gets NaN t, p and s when it has fewer than 3 differences, or
+    when their spread is at the rounding level of the inputs:
+    s <= 4 n eps max(|a|, |b|) over the column. A constant sample, or a
+    constant offset (x + 0.1 against x) that does not subtract exactly, has
+    a nonzero s that would otherwise read as an overwhelming effect: the
+    differences differ in their last bits, and s also carries the rounding
+    error of the column's mean, a sum that grows with n. Measured over
+    random constants and offsets, s reached 1.2 eps max at n = 3 and at
+    most 0.17 n eps max for n from 8 to 100.
+
+    Returns (t, p, s), one value per column; 1-D input gives floats.
+    """
     if tail not in ("one_sided_greater", "two_sided"):
         raise ValueError(f"unknown tail {tail!r}")
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    if n < 3:
-        raise ValueError("need at least 3 samples")
-    sd = x.std(ddof=1)
-    if sd == 0.0:
-        raise ZeroVarianceError("sample has zero variance")
-    t = (x.mean() - mu0) / (sd / math.sqrt(n))
-    dof = n - 1
-    if tail == "one_sided_greater":
-        p = student_t_sf(t, dof)
-    else:
-        p = 2.0 * student_t_sf(abs(t), dof)
-    return TestResult(statistic=float(t), p_value=float(p), dof=dof, tail=tail)
-
-
-def paired_ttest(x, y, tail: str = "two_sided") -> TestResult:
-    """Paired t-test: one-sample test on x - y against 0.
-
-    Identical vectors (or a constant offset) give zero-variance
-    differences and raise :class:`ZeroVarianceError`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return one_sample_ttest(x - y, 0.0, tail=tail)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d = a - b
+    valid = ~np.isnan(d)
+    counts = valid.sum(axis=0)
+    scale = np.where(valid, np.maximum(np.abs(a), np.abs(b)), 0.0).max(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(valid, d, 0.0).sum(axis=0) / counts
+        dev = np.where(valid, d - mean, 0.0)
+        sd = np.sqrt((dev * dev).sum(axis=0) / (counts - 1))
+        t = mean / (sd * np.sqrt(1.0 / counts + extra_var))
+    ok = (counts >= 3) & (sd > 4.0 * counts * np.finfo(np.float64).eps * scale)
+    t, sd = np.where(ok, t, np.nan), np.where(ok, sd, np.nan)
+    p = np.full(t.shape, np.nan)
+    two_sided = tail == "two_sided"
+    p[ok] = student_t_sf((np.abs(t) if two_sided else t)[ok], counts[ok] - 1)
+    if two_sided:
+        p *= 2.0
+    return tuple(v if v.ndim else float(v) for v in (t, p, sd))
 
 
 def bh_fdr(p_values, q: float) -> np.ndarray:

@@ -182,6 +182,24 @@ class TestContrast:
         )
         assert rc == EXIT_OK
 
+    def test_fdr_without_refit_decides_the_masks(self, tmp_path):
+        # seed 3: one of subject s00's joint voxels has p < 0.05 but fails BH
+        manifest = _synth(tmp_path / "data", seed=3)
+        contrast = ["contrast", "--manifest", str(manifest), "--mode", "connection",
+                    "--condition-a", "joint", "--condition-b", "lang_only", "--fdr", "bh"]
+        masks, reports = [], []
+        for fit_fdr in ("none", "bh"):
+            out = tmp_path / fit_fdr
+            assert main(["fit", "--manifest", str(manifest), "--out", str(out),
+                         "--fdr", fit_fdr]) == EXIT_OK
+            fit_dir = out / "fit" / manifest_hash(manifest) / "joint" / "s00"
+            masks.append(read_matrix(fit_dir / "layer_00_significant_mask.eamx"))
+            assert main(contrast + ["--out", str(out)]) == EXIT_OK
+            report_dir = out / "contrast" / manifest_hash(manifest) / "connection"
+            reports.append([(report_dir / f).read_text() for f in ("report.json", "report.csv")])
+        assert not np.array_equal(*masks)
+        assert reports[0] == reports[1]
+
     def test_interaction_mode(self, dataset):
         manifest, out = dataset
         rc = main(

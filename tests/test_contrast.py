@@ -220,6 +220,19 @@ class TestConnectionScores:
             assert [float(x) for x in line[1:]] == [row[k] for k in keys]
         assert [line[0] for line in lines[1:]] == ["roi"] * 2 + ["layer"] * 2
 
+    def test_constant_offset_is_degenerate(self):
+        # every subject's joint score beats its ablated score by 0.1, which
+        # subtracts back to 0.1 only up to rounding
+        x = [0.3, 0.5, 0.2, 0.9]
+        report = connection_contrast(
+            [[_result_with_mask([True], [xs + 0.1])] for xs in x],
+            [[_result_with_mask([True], [xs])] for xs in x],
+            [{"a": [0]}] * 4,
+        )
+        for row, key in ((report.roi_rows[0], "paired_t"), (report.layerwise[0], "statistic")):
+            assert row["diff"] == pytest.approx(0.1)
+            assert np.isnan(row[key]) and np.isnan(row["p_value"])
+
     def test_atlas_key_order_does_not_matter(self):
         reordered = dict(reversed(list(self.ATLAS.items())))
         assert self._report([self.ATLAS, reordered, self.ATLAS, reordered]).to_dict() == (

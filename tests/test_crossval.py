@@ -8,7 +8,6 @@ from brainalign import crossval, ridge
 from brainalign.crossval import (
     DEFAULT_LAMBDA_GRID,
     EncodingResult,
-    _fold_ttest_pvalues,
     _lambda_scores,
     _nanmean_cols,
     fit_encoding,
@@ -18,7 +17,7 @@ from brainalign.crossval import (
 )
 from brainalign.ceiling import noise_ceiling
 from brainalign.residual import remove_information
-from brainalign.stats import pearson_columns, student_t_sf
+from brainalign.stats import pearson_columns, student_t_sf, t_test
 
 
 class TestMakeFolds:
@@ -580,22 +579,23 @@ class TestFoldTtestPvalues:
         fold_r = rng.normal(0.05, 0.2, size=(6, 40))
         fold_r[0, 3] = np.nan  # 5 valid folds
         fold_r[:2, 4] = np.nan  # 4 valid folds
-        got = _fold_ttest_pvalues(fold_r, test_to_train=0.2)
+        got = t_test(fold_r, extra_var=0.2)[1]
         ref = np.array([self._reference(fold_r[:, j], 0.2) for j in range(40)])
         assert np.isfinite(got).all()
         assert np.abs(got - ref).max() <= 1e-15
 
     def test_degenerate_columns_are_nan(self):
         rng = np.random.default_rng(13)
-        fold_r = rng.normal(0.1, 0.2, size=(6, 5))
+        fold_r = rng.normal(0.1, 0.2, size=(6, 6))
         fold_r[:4, 0] = np.nan  # 2 valid folds
         fold_r[:, 1] = np.nan  # no valid fold
         fold_r[:, 2] = 0.3  # zero variance
         fold_r[:3, 3] = np.nan
         fold_r[3:, 3] = 0.3  # 3 valid folds, zero variance
-        p = _fold_ttest_pvalues(fold_r, test_to_train=0.2)
-        assert np.isnan(p[:4]).all()
-        assert np.isfinite(p[4])
+        fold_r[:, 4] = 0.1  # zero variance, but a mean that does not round exactly
+        p = t_test(fold_r, extra_var=0.2)[1]
+        assert np.isnan(p[:5]).all()
+        assert np.isfinite(p[5])
 
 
 class TestScoreAlignment:
