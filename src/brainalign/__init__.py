@@ -22,6 +22,7 @@ from brainalign.crossval import (
     EncodingResult,
     make_folds,
     fit_encoding,
+    fit_subjects,
     score_alignment,
 )
 from brainalign.residual import remove_information
@@ -29,7 +30,6 @@ from brainalign.ceiling import CeilingResult, noise_ceiling, normalize_by_ceilin
 from brainalign.contrast import (
     ContrastReport,
     union_mask,
-    roi_score,
     connection_contrast,
     interaction_contrast,
 )

@@ -32,7 +32,7 @@ from brainalign.crossval import (
     EncodingResult,
     _nanmean_cols,
     _significance_mask,
-    fit_encoding,
+    fit_subjects,
     make_folds,
 )
 from brainalign.matrixio import (
@@ -101,7 +101,6 @@ def _write_json(path: Path, payload: dict) -> None:
 def _save_result(res: EncodingResult, out_dir: Path, layer: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     arrays = {
-        "cv_predictions": res.cv_predictions,
         "fold_correlations": res.fold_correlations,
         "mean_correlation": res.mean_correlation[None, :],
         "selected_lambda": res.selected_lambda,
@@ -124,7 +123,6 @@ def _load_result(out_dir: Path, layer: int, alpha: float, fdr: str) -> EncodingR
 
     pvals = rd("significance_pvalues")[0]
     return EncodingResult(
-        cv_predictions=rd("cv_predictions"),
         fold_correlations=rd("fold_correlations"),
         mean_correlation=rd("mean_correlation")[0],
         selected_lambda=rd("selected_lambda"),
@@ -156,28 +154,20 @@ def _aligned_responses(X, layer_file, responses, tr_cfg):
 
 def _fit_condition(manifest, cond, subjects, responses, args, out_root: Path):
     """Fit each layer of ``cond`` once for all ``subjects`` (their TR-aligned
-    responses share its features) and split the result back by subject, each
-    with its own significance (``--fdr bh`` included). Writes the layer
-    artifacts under ``out_root/<condition>/<subject>``; returns them per subject."""
+    responses share its features) with ``fit_subjects``, each subject with
+    its own significance (``--fdr bh`` included). Writes the layer artifacts
+    under ``out_root/<condition>/<subject>``; returns them per subject."""
     tr_cfg = _trmap_config(manifest, args.tr_policy)
     per_subject = [[] for _ in subjects]
     for layer, lf in enumerate(cond.layer_files):
         X = read_matrix(manifest.resolve(lf))
         Ys = [_aligned_responses(X, lf, Y, tr_cfg) for Y in responses]
-        res = fit_encoding(
-            X,
-            Ys[0] if len(Ys) == 1 else np.hstack(Ys),  # one subject: no copy
-            make_folds(X.shape[0], manifest.n_outer_folds),
-            inner_folds=manifest.n_inner_folds,
-            lambda_grid=manifest.lambda_grid,
-            alpha=manifest.significance_alpha,
-        )
-        stop = 0
-        for sub, Y, results in zip(subjects, Ys, per_subject):
-            sub_res = res.columns(slice(stop, stop + Y.shape[1]), args.fdr or manifest.fdr)
-            stop += Y.shape[1]
-            _save_result(sub_res, out_root / cond.name / sub.id, layer)
-            results.append(sub_res)
+        scheme = make_folds(X.shape[0], manifest.n_outer_folds)
+        fits = fit_subjects(X, Ys, scheme, manifest.n_inner_folds, manifest.lambda_grid,
+                            manifest.significance_alpha, args.fdr or manifest.fdr)
+        for sub, res, results in zip(subjects, fits, per_subject):
+            _save_result(res, out_root / cond.name / sub.id, layer)
+            results.append(res)
     return per_subject
 
 
@@ -484,6 +474,16 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# The flags of ``contrast`` that one mode alone takes, with their defaults.
+# They parse as None when not given, so that ``main`` can refuse one given
+# to the other mode (exit 2) and then fill in the defaults of the rest.
+CONTRAST_MODE_FLAGS = {
+    "connection": {"condition_b": None, "fdr": None, "refit": False},
+    "interaction": {"unimodal_a": "lang_only", "unimodal_b": "vis_only", "baseline": "gaussian",
+                    "n_baseline": 10, "use_ceiling": False, "seed_override": None},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brainalign",
@@ -528,25 +528,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contrast", help="connection or interaction contrast")
     analysis(p)
-    p.add_argument("--mode", choices=["connection", "interaction"], required=True)
+    p.add_argument("--mode", choices=list(CONTRAST_MODE_FLAGS), required=True)
     p.add_argument("--condition-a", required=True, help="reference (joint) condition")
-    p.add_argument("--condition-b", default=None, help="ablated condition (connection mode)")
-    p.add_argument(
-        "--unimodal-a",
-        default="lang_only",
-        help="first unimodal condition removed in interaction mode; "
-        "only its last layer file is used",
-    )
-    p.add_argument(
-        "--unimodal-b",
-        default="vis_only",
-        help="second unimodal condition removed in interaction mode; "
-        "only its last layer file is used",
-    )
-    p.add_argument("--baseline", choices=["gaussian", "shuffle"], default="gaussian")
-    p.add_argument("--n-baseline", type=int, default=10)
-    p.add_argument("--use-ceiling", action="store_true", help="normalize by cached ceilings")
-    p.add_argument("--refit", action="store_true", help="fit missing artifacts on the fly")
+    # one mode's flags parse as None when not given; main fills in their defaults
+    p.add_argument("--condition-b", help="ablated condition (connection mode)")
+    for flag, which in (("--unimodal-a", "first"), ("--unimodal-b", "second")):
+        p.add_argument(
+            flag,
+            help=f"{which} unimodal condition removed in interaction mode; "
+            "only its last layer file is used",
+        )
+    p.add_argument("--baseline", choices=["gaussian", "shuffle"])
+    p.add_argument("--n-baseline", type=int)
+    p.add_argument("--use-ceiling", action="store_true", default=None, help="use cached ceilings")
+    p.add_argument("--refit", action="store_true", default=None, help="fit missing artifacts")
     p.set_defaults(func=cmd_contrast)
 
     p = sub.add_parser("synth", help="generate a synthetic ground-truth dataset")
@@ -567,12 +562,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "contrast" and args.mode == "connection" and not args.condition_b:
-        parser.error("--condition-b is required for connection mode")
-    if args.command == "contrast" and args.mode == "interaction":
-        for flag, value in (("--fdr", args.fdr), ("--refit", args.refit)):
-            if value:
-                parser.error(f"{flag} has no effect in interaction mode")
+    if args.command == "contrast":
+        for mode, flags in CONTRAST_MODE_FLAGS.items():
+            for dest, default in flags.items():
+                if getattr(args, dest) is None:
+                    setattr(args, dest, default)
+                elif mode != args.mode:
+                    parser.error(f"--{dest.replace('_', '-')} has no effect in {args.mode} mode")
+        if args.mode == "connection" and not args.condition_b:
+            parser.error("--condition-b is required for connection mode")
     if getattr(args, "threads", 1) != 1:
         print(
             f"note: --threads {args.threads} has no effect; folds are fit serially",

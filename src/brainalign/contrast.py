@@ -39,7 +39,7 @@ from brainalign.crossval import (
     EncodingResult,
     FoldScheme,
     _valid_mean,
-    fit_encoding,
+    fit_subjects,
 )
 from brainalign.residual import remove_information
 from brainalign.stats import t_test
@@ -113,19 +113,6 @@ def union_mask(results: list[EncodingResult]) -> np.ndarray:
             raise ValueError("layer results disagree on voxel count")
         mask |= res.significant_mask
     return mask
-
-
-def roi_score(mean_correlation: np.ndarray, mask, atlas: dict, roi_name: str) -> float:
-    """Mean correlation over ROI-and-mask voxels, flagged voxels excluded.
-
-    Returns NaN when the intersection is empty (flagged-empty marker).
-    """
-    if roi_name not in atlas:
-        raise KeyError(f"unknown ROI {roi_name!r}")
-    idx = np.asarray(atlas[roi_name], dtype=np.int64)
-    if mask is not None:
-        idx = idx[np.asarray(mask, dtype=bool)[idx]]
-    return _valid_mean(mean_correlation[idx])
 
 
 def _roi_names(atlases: list[dict]) -> list[str]:
@@ -255,9 +242,9 @@ def interaction_contrast(
     ROI's voxels.
 
     Every subject sees the same design (a layer's residual or one baseline
-    draw), so the subjects' voxels are stacked and each design is fitted
-    once: the number of fits does not depend on the number of subjects.
-    Subjects may differ in voxel count; each has its own atlas.
+    draw), so each design is fitted once for all subjects by
+    ``fit_subjects``: the number of fits does not depend on the number of
+    subjects. Subjects may differ in voxel count; each has its own atlas.
     """
     if n_baseline < 3:
         raise ValueError("need at least 3 baseline draws")
@@ -269,8 +256,6 @@ def interaction_contrast(
     unimodal = np.hstack([lang_features, vis_features])
     roi_names = _roi_names(atlases)
     regions = [_regions(atlas, roi_names) for atlas in atlases]
-    Y = np.hstack(Y_subjects)
-    splits = np.cumsum([Ys.shape[1] for Ys in Y_subjects])[:-1]
     rng = np.random.default_rng(seed)
 
     n_layers = len(joint_layers)
@@ -285,10 +270,9 @@ def interaction_contrast(
                 X = rng.standard_normal(resid.shape)
             else:
                 X = resid[rng.permutation(resid.shape[0])]
-            res = fit_encoding(
-                X, Y, scheme, inner_folds=inner_folds, lambda_grid=lambda_grid, alpha=alpha
-            )
-            for s, sub_scores in enumerate(np.split(res.mean_correlation, splits)):
+            fits = fit_subjects(X, Y_subjects, scheme, inner_folds, lambda_grid, alpha)
+            for s, res in enumerate(fits):
+                sub_scores = res.mean_correlation
                 if ceiling is not None:
                     sub_scores = normalize_by_ceiling(sub_scores, ceiling, floor=ceiling_floor)
                 scores[draw, layer, s] = [_valid_mean(sub_scores[idx]) for idx in regions[s]]

@@ -49,9 +49,8 @@ def make_folds(n_samples: int, n_folds: int) -> FoldScheme:
 
 @dataclass
 class EncodingResult:
-    """Per-voxel cross-validated predictions and fold statistics."""
+    """Per-voxel cross-validated fold statistics."""
 
-    cv_predictions: np.ndarray  # n x v, original response units
     fold_correlations: np.ndarray  # n_folds x v
     mean_correlation: np.ndarray  # v
     selected_lambda: np.ndarray  # n_folds x v
@@ -59,21 +58,6 @@ class EncodingResult:
     significant_mask: np.ndarray  # v, bool
     alpha: float
     fold_weights: list = field(default_factory=list, repr=False)
-
-    def columns(self, cols: slice, fdr: str) -> "EncodingResult":
-        """The result for the targets in ``cols`` (a slice, so views, not
-        copies), with significance decided among those targets alone."""
-        pvals = self.significance_pvalues[cols]
-        return EncodingResult(
-            cv_predictions=self.cv_predictions[:, cols],
-            fold_correlations=self.fold_correlations[:, cols],
-            mean_correlation=self.mean_correlation[cols],
-            selected_lambda=self.selected_lambda[:, cols],
-            significance_pvalues=pvals,
-            significant_mask=_significance_mask(pvals, self.alpha, fdr),
-            alpha=self.alpha,
-            fold_weights=[W[:, cols] for W in self.fold_weights],
-        )
 
 
 def _train_stats(arr: np.ndarray):
@@ -316,6 +300,8 @@ def fit_encoding(
 ) -> EncodingResult:
     """Full nested-CV encoding fit of targets Y from features X.
 
+    Each fold's held-out predictions (``fit_fold``) are scored, then dropped.
+
     Significance per target: one-sided (greater) ``stats.t_test`` of the
     per-fold held-out correlations against 0. Fold correlations are
     positively correlated (each fold's held-out rows train every other
@@ -342,28 +328,27 @@ def fit_encoding(
     if scheme.n_folds < 3:
         raise ValueError("significance testing needs at least 3 folds")
 
-    n, v = Y.shape
-    cv_pred = np.empty((n, v))
+    v = Y.shape[1]
     fold_r = np.full((scheme.n_folds, v), np.nan)
     sel = np.empty((scheme.n_folds, v))
     weights = []
     for fold in range(scheme.n_folds):
         tr = scheme.train_indices(fold)
         te = scheme.test_indices(fold)
-        cv_pred[te], sel[fold], W = fit_fold(X, Y, tr, te, inner_folds, grid, keep_weights)
+        pred, sel[fold], W = fit_fold(X, Y, tr, te, inner_folds, grid, keep_weights)
         if keep_weights:
             weights.append(W)
         if te.size >= 3:
-            # block by block, on copies of the block's held-out rows
+            # block by block, so that the centred copies are one block wide
             for cols in _target_blocks(v, tr.size):
-                fold_r[fold, cols] = pearson_columns(cv_pred[te, cols], Y[te, cols])
+                fold_r[fold, cols] = pearson_columns(pred[:, cols], Y[te, cols])
+        del pred  # before the next fold's are formed
 
     mean_r = _nanmean_cols(fold_r)
     test_frac = 1.0 / scheme.n_folds
     _, pvals, _ = t_test(fold_r, extra_var=test_frac / (1.0 - test_frac))
 
     return EncodingResult(
-        cv_predictions=cv_pred,
         fold_correlations=fold_r,
         mean_correlation=mean_r,
         selected_lambda=sel,
@@ -372,6 +357,38 @@ def fit_encoding(
         alpha=alpha,
         fold_weights=weights,
     )
+
+
+def fit_subjects(
+    X: np.ndarray,
+    Y_subjects: list[np.ndarray],
+    scheme: FoldScheme,
+    inner_folds: int = DEFAULT_INNER_FOLDS,
+    lambda_grid=DEFAULT_LAMBDA_GRID,
+    alpha: float = 0.05,
+    fdr: str = "none",
+) -> list[EncodingResult]:
+    """One result per subject (targets n x v_s) of one ``fit_encoding`` of
+    all subjects' targets stacked on the shared design X (no copy for one
+    subject), each with significance decided among its own targets alone.
+    A target's numbers do not depend on its neighbours, so each result
+    equals that subject's own fit; it holds views of the stacked arrays."""
+    Y = Y_subjects[0] if len(Y_subjects) == 1 else np.hstack(Y_subjects)
+    res = fit_encoding(X, Y, scheme, inner_folds, lambda_grid, alpha)
+    results, stop = [], 0
+    for Y_sub in Y_subjects:
+        cols = slice(stop, stop + Y_sub.shape[1])
+        stop = cols.stop
+        pvals = res.significance_pvalues[cols]
+        results.append(EncodingResult(
+            fold_correlations=res.fold_correlations[:, cols],
+            mean_correlation=res.mean_correlation[cols],
+            selected_lambda=res.selected_lambda[:, cols],
+            significance_pvalues=pvals,
+            significant_mask=_significance_mask(pvals, alpha, fdr),
+            alpha=alpha,
+        ))
+    return results
 
 
 def _significance_mask(pvals: np.ndarray, alpha: float, fdr: str) -> np.ndarray:

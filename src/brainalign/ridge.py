@@ -11,15 +11,15 @@ restricted to the retained rank.
 
 Neither choosing lam nor predicting forms weights. A held-out prediction
 is (X_te V) diag(s / (s^2 + lam)) (U^T Y), where the right factor is
-``basis_weights``: r x v, not the p x v of W. Choosing lam
-(``crossval.select_lambda``) takes, for every lam at once, the inner
-products of that prediction with the held-out targets as one g x r by
-r x v product, and its column norms as those of R diag(...) (U^T Y), with
-R the min(n_te, r) x r triangular factor of the centred X_te V. The
-targets pass through in column blocks, so scoring a grid of g values holds
-one min(n_te, r) x block array, reused for every value, instead of a
-g x p x v weight tensor. ``solve_path`` builds that tensor and has no
-caller in the package.
+``basis_weights``: r x v, not the p x v of W. Choosing lam (in
+``crossval.fit_fold``: ``_inner_folds``, then ``_block_scores``) takes,
+for every lam at once, the inner products of that prediction with the
+held-out targets as one g x r by r x v product, and its column norms as
+those of R diag(...) (U^T Y), with R the min(n_te, r) x r triangular
+factor of the centred X_te V. The targets pass through in column blocks,
+so scoring a grid of g values holds one min(n_te, r) x block array, reused
+for every value, instead of a g x p x v weight tensor. ``solve_path``
+builds that tensor; it and ``crossval.select_lambda`` have no caller here.
 
 Each inner training design of that search is factored by ``factor_gram``,
 from the eigendecomposition of the smaller Gram matrix (X^T X or X X^T).

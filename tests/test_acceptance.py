@@ -16,7 +16,7 @@ import pytest
 from brainalign.ceiling import noise_ceiling
 from brainalign.cli import EXIT_OK, main
 from brainalign.contrast import connection_contrast, interaction_contrast
-from brainalign.crossval import fit_encoding, make_folds
+from brainalign.crossval import fit_encoding, fit_subjects, make_folds
 from brainalign.residual import remove_information
 from brainalign.ridge import factor, solve
 from brainalign.stats import student_t_sf
@@ -93,12 +93,12 @@ def test_criterion_05_connection_contrast_recovery():
     fired = {"roi_crossmodal": 0, "roi_language": 0, "roi_interaction": 0, "roi_null": 0}
     for seed in range(n_seeds):
         data = generate(SynthSpec(seed=seed, include_interaction_in_joint=False))
-        joint, ablated = [], []
-        for Y in data.responses:
-            joint.append([fit_encoding(data.features["joint"], Y, scheme, lambda_grid=GRID)])
-            ablated.append(
-                [fit_encoding(data.features["lang_only"], Y, scheme, lambda_grid=GRID)]
-            )
+        # every subject sees the same features: one stacked fit per condition
+        joint, ablated = (
+            [[res] for res in fit_subjects(data.features[cond], data.responses, scheme,
+                                           lambda_grid=GRID)]
+            for cond in ("joint", "lang_only")
+        )
         report = connection_contrast(
             joint, ablated, [data.atlas] * len(data.responses)
         )

@@ -93,6 +93,19 @@ class TestFit:
         sidecar = json.loads((fit_root / "run_record.json").read_text())
         assert "wall_time_s" in sidecar
 
+    def test_each_fit_directory_holds_five_layer_artifacts_and_a_summary(self, dataset):
+        manifest, out = dataset
+        fit_root = out / "fit" / manifest_hash(manifest)
+        names = {"summary.json"} | {
+            f"layer_00_{name}.eamx"
+            for name in ("fold_correlations", "mean_correlation", "selected_lambda",
+                         "significance_pvalues", "significant_mask")
+        }
+        dirs = sorted(d for d in fit_root.glob("*/*") if d.is_dir())
+        assert len(dirs) == 4 * 3  # conditions x subjects
+        for d in dirs:
+            assert {p.name for p in d.iterdir()} == names, d
+
     def test_missing_manifest_exit_2(self, tmp_path):
         rc = main(["fit", "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == EXIT_INPUT
@@ -378,14 +391,33 @@ class TestFlagsOnlyWhereUsed:
 
 
 class TestInteractionFlags:
-    @pytest.mark.parametrize("flag", [["--fdr", "bh"], ["--refit"]])
-    def test_connection_only_flag_is_a_usage_error(self, tmp_path, capsys, flag):
-        argv = ["contrast", "--manifest", str(tmp_path / "m.json"), "--mode", "interaction",
-                "--condition-a", "joint", *flag]
+    @staticmethod
+    def _usage_error(argv, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert flag[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and "has no effect" in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--fdr", "bh"], ["--refit"], ["--fdr", "none"], ["--condition-b", "lang_only"]]
+    )
+    def test_connection_only_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        argv = ["contrast", "--manifest", str(tmp_path / "m.json"), "--mode", "interaction",
+                "--condition-a", "joint", *flag]
+        self._usage_error(argv, capsys, flag[0])
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--use-ceiling"], ["--baseline", "shuffle"], ["--baseline", "gaussian"],
+         ["--n-baseline", "10"], ["--unimodal-a", "vis_only"], ["--unimodal-b", "nonexistent"],
+         ["--seed-override", "7"]],
+    )
+    def test_interaction_only_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        # a flag given with its default value is refused too
+        argv = ["contrast", "--manifest", str(tmp_path / "m.json"), "--mode", "connection",
+                "--condition-a", "joint", "--condition-b", "lang_only", *flag]
+        self._usage_error(argv, capsys, flag[0])
 
 
 def _write_dataset(root, X, responses, trmap=False):
@@ -512,7 +544,6 @@ class TestStackedFit:
             ref = fit_encoding(X, Y, make_folds(120, 6), inner_folds=5,
                                lambda_grid=np.logspace(-1, 6, 8), fdr="bh")
             want = {
-                "layer_00_cv_predictions.eamx": ref.cv_predictions,
                 "layer_00_fold_correlations.eamx": ref.fold_correlations,
                 "layer_00_mean_correlation.eamx": ref.mean_correlation[None, :],
                 "layer_00_selected_lambda.eamx": ref.selected_lambda,

@@ -8,10 +8,9 @@ from brainalign import ridge
 from brainalign.contrast import (
     connection_contrast,
     interaction_contrast,
-    roi_score,
     union_mask,
 )
-from brainalign.crossval import fit_encoding, make_folds
+from brainalign.crossval import fit_subjects, make_folds
 from brainalign.synth import SynthSpec, generate
 
 GRID = np.logspace(-1, 6, 8)
@@ -25,7 +24,6 @@ def _result_with_mask(mask, mean_corr=None):
     if mean_corr is None:
         mean_corr = np.zeros(v)
     return EncodingResult(
-        cv_predictions=np.zeros((6, v)),
         fold_correlations=np.zeros((3, v)),
         mean_correlation=np.asarray(mean_corr, dtype=float),
         selected_lambda=np.zeros((3, v)),
@@ -54,41 +52,16 @@ class TestUnionMask:
             union_mask([_result_with_mask([True]), _result_with_mask([True, False])])
 
 
-class TestRoiScore:
-    def test_masked_mean(self):
-        vals = np.array([0.1, 0.2, 0.3, 0.4])
-        atlas = {"a": [0, 1, 2]}
-        mask = np.array([True, False, True, True])
-        assert roi_score(vals, mask, atlas, "a") == pytest.approx(0.2)
-
-    def test_no_mask_uses_all(self):
-        vals = np.array([0.1, 0.2, 0.3])
-        assert roi_score(vals, None, {"a": [0, 2]}, "a") == pytest.approx(0.2)
-
-    def test_empty_intersection_flagged(self):
-        vals = np.array([0.1, 0.2])
-        mask = np.array([False, False])
-        assert np.isnan(roi_score(vals, mask, {"a": [0, 1]}, "a"))
-
-    def test_flagged_voxels_excluded(self):
-        vals = np.array([0.1, np.nan, 0.3])
-        assert roi_score(vals, None, {"a": [0, 1, 2]}, "a") == pytest.approx(0.2)
-
-    def test_unknown_roi(self):
-        with pytest.raises(KeyError):
-            roi_score(np.zeros(3), None, {"a": [0]}, "b")
-
-
 @pytest.fixture(scope="module")
 def synth_fits():
     """Per-subject per-layer fits of joint and ablated conditions on the
     planted-connection test bed."""
     data = generate(SynthSpec(seed=3, include_interaction_in_joint=False))
     scheme = make_folds(120, 6)
-    joint, ablated = [], []
-    for Y in data.responses:
-        joint.append([fit_encoding(data.features["joint"], Y, scheme, lambda_grid=GRID)])
-        ablated.append([fit_encoding(data.features["lang_only"], Y, scheme, lambda_grid=GRID)])
+    joint, ablated = (
+        [[res] for res in fit_subjects(data.features[c], data.responses, scheme, lambda_grid=GRID)]
+        for c in ("joint", "lang_only")
+    )
     atlases = [data.atlas] * len(data.responses)
     return data, joint, ablated, atlases
 

@@ -11,6 +11,8 @@ from brainalign.crossval import (
     _lambda_scores,
     _nanmean_cols,
     fit_encoding,
+    fit_fold,
+    fit_subjects,
     make_folds,
     score_alignment,
     select_lambda,
@@ -65,7 +67,6 @@ class TestFitEncoding:
         X = rng.standard_normal((120, 4))
         Y = rng.standard_normal((120, 7))
         res = fit_encoding(X, Y, scheme)
-        assert res.cv_predictions.shape == (120, 7)
         assert res.fold_correlations.shape == (6, 7)
         assert res.selected_lambda.shape == (6, 7)
         assert res.mean_correlation.shape == (7,)
@@ -82,16 +83,16 @@ class TestFitEncoding:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((120, 5))
         Y = X @ rng.standard_normal((5, 6)) + 0.5 * rng.standard_normal((120, 6))
-        res = fit_encoding(X, Y, scheme, keep_weights=True)
         for fold in (0, 3):
             Y2 = Y.copy()
-            te = scheme.test_indices(fold)
+            tr, te = scheme.train_indices(fold), scheme.test_indices(fold)
             Y2[te] = rng.standard_normal((te.size, 6)) * 100
-            res2 = fit_encoding(X, Y2, scheme, keep_weights=True)
+            pred, lam, W = fit_fold(X, Y, tr, te, 5, DEFAULT_LAMBDA_GRID, keep_weights=True)
+            pred2, lam2, W2 = fit_fold(X, Y2, tr, te, 5, DEFAULT_LAMBDA_GRID, keep_weights=True)
             # corrupting held-out rows leaves that fold's model untouched
-            assert np.array_equal(res.fold_weights[fold], res2.fold_weights[fold])
-            assert np.array_equal(res.selected_lambda[fold], res2.selected_lambda[fold])
-            assert np.array_equal(res.cv_predictions[te], res2.cv_predictions[te])
+            assert np.array_equal(W, W2)
+            assert np.array_equal(lam, lam2)
+            assert np.array_equal(pred, pred2)
 
     def test_each_row_predicted_once_by_heldout_model(self, scheme):
         rng = np.random.default_rng(3)
@@ -105,7 +106,10 @@ class TestFitEncoding:
             xm, xs = X[tr].mean(0), X[tr].std(0)
             ym, ys = Y[tr].mean(0), Y[tr].std(0)
             pred = ((X[te] - xm) / xs) @ res.fold_weights[fold] * ys + ym
-            assert np.allclose(pred, res.cv_predictions[te])
+            held_out, _, _ = fit_fold(X, Y, tr, te, 5, DEFAULT_LAMBDA_GRID)
+            assert np.allclose(pred, held_out)
+            # the fit's fold correlations score exactly these predictions
+            assert np.array_equal(res.fold_correlations[fold], pearson_columns(held_out, Y[te]))
 
     def test_voxel_permutation_equivariance(self, scheme):
         rng = np.random.default_rng(4)
@@ -191,21 +195,16 @@ class TestStackedTargets:
             for v in (3, 7, 5)
         ]
         Ys[1][:, 2] = 1.0  # a constant voxel
-        stacked = fit_encoding(X, np.hstack(Ys), scheme, keep_weights=True)
-        stop = 0
-        for Y in Ys:
-            part = stacked.columns(slice(stop, stop + Y.shape[1]), "bh")
-            stop += Y.shape[1]
-            alone = fit_encoding(X, Y, scheme, fdr="bh", keep_weights=True)
+        fits = fit_subjects(X, Ys, scheme, fdr="bh")
+        assert np.isnan(fits[1].mean_correlation[2])
+        for Y, part in zip(Ys, fits, strict=True):
+            alone = fit_encoding(X, Y, scheme, fdr="bh")
             assert np.array_equal(part.selected_lambda, alone.selected_lambda)
             assert np.array_equal(part.significant_mask, alone.significant_mask)
-            for name in ("cv_predictions", "fold_correlations", "mean_correlation",
-                         "significance_pvalues"):
+            for name in ("fold_correlations", "mean_correlation", "significance_pvalues"):
                 np.testing.assert_allclose(
                     getattr(part, name), getattr(alone, name), rtol=0, atol=1e-12, err_msg=name
                 )
-            for W, W_alone in zip(part.fold_weights, alone.fold_weights, strict=True):
-                np.testing.assert_allclose(W, W_alone, rtol=0, atol=1e-12)
 
 
 class TestNanmeanCols:
@@ -497,11 +496,14 @@ class TestTargetBlocks:
         assert np.isnan(ref.mean_correlation[2]) and np.isfinite(ref.mean_correlation[4])
         assert np.array_equal(got.selected_lambda, ref.selected_lambda)
         assert np.array_equal(got.significant_mask, ref.significant_mask)
-        for name in ("cv_predictions", "fold_correlations", "mean_correlation",
-                     "significance_pvalues"):
+        for name in ("fold_correlations", "mean_correlation", "significance_pvalues"):
             self._close(getattr(got, name), getattr(ref, name), err_msg=name)
         for W, W_ref in zip(got.fold_weights, ref.fold_weights, strict=True):
             self._close(W, W_ref)
+        # the held-out predictions, in response units, that the fold scores
+        tr, te = scheme.train_indices(0), scheme.test_indices(0)
+        held_out = lambda: fit_fold(X, Y, tr, te, 5, DEFAULT_LAMBDA_GRID)[0]
+        self._close(self._blocked(monkeypatch, width, held_out), held_out())
 
     @pytest.mark.parametrize("width", ["1", "3"])
     def test_select_lambda(self, monkeypatch, width):
@@ -558,8 +560,8 @@ class TestTargetBlocks:
             tracemalloc.stop()
         result = sum(
             getattr(res, name).nbytes
-            for name in ("cv_predictions", "fold_correlations", "mean_correlation",
-                         "selected_lambda", "significance_pvalues", "significant_mask")
+            for name in ("fold_correlations", "mean_correlation", "selected_lambda",
+                         "significance_pvalues", "significant_mask")
         )
         # one copy of an outer fold's training targets
         assert peak - result < self.N_TRAIN * v * 8
@@ -602,7 +604,6 @@ class TestScoreAlignment:
     def _result(self, mean_corr):
         v = len(mean_corr)
         return EncodingResult(
-            cv_predictions=np.zeros((6, v)),
             fold_correlations=np.zeros((3, v)),
             mean_correlation=np.asarray(mean_corr, dtype=float),
             selected_lambda=np.zeros((3, v)),
